@@ -15,27 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LPError
 from .figure import render_svg
-from .model import LinearProgram, Sense, SolutionStatus, load_lp, save_solution, _dumps
-from .reduction import (
-    PhaseOneStatus,
-    SolveOptions,
-    build_support_problem,
-    dual_constraint_points,
-    phase1,
-    solve,
-)
-from .transforms import (
-    EPS_STRICT,
-    make_origin_strictly_feasible,
-    rotate_problem,
-    rotation_to_last_axis,
-)
+from .minmax import PiecewiseMaxProblem
+from .model import SolutionStatus, load_lp, save_solution, _dumps
+from .reduction import PhaseOneStatus, SolveOptions, check_interior, phase1, prepare, solve
 
 EXIT_OK = 0
 EXIT_UNBOUNDED = 2
@@ -49,18 +36,6 @@ _STATUS_EXIT = {
     SolutionStatus.ORIGIN_NOT_INTERIOR: EXIT_INFEASIBLE,
     SolutionStatus.INPUT_ERROR: EXIT_INPUT,
 }
-
-
-@dataclass
-class CliConfig:
-    command: str
-    input: str
-    output: str | None = None
-    seed: int = 0
-    tolerance: float = 1e-9
-    solver: str = "exact"
-    interior_point: np.ndarray | None = None
-    stage: str = "support"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,39 +80,18 @@ def _parse_point(text: str | None) -> np.ndarray | None:
         raise LPError(f"bad --interior-point: {exc}") from None
 
 
-def _check_config(config: CliConfig) -> None:
-    if not config.tolerance > 0:
-        raise LPError("--tolerance must be positive")
-
-
-def _interior(lp: LinearProgram, config: CliConfig, options: SolveOptions):
-    """Shared hint-or-search step; returns (point, exit_code)."""
-    if config.interior_point is not None:
-        p0 = config.interior_point
-        if p0.shape != (lp.dimension,) or not np.isfinite(p0).all():
-            raise LPError("--interior-point does not match the program dimension")
-        if float((lp.A @ p0 - lp.b).max()) >= -EPS_STRICT:
-            print("supplied point is not strictly interior", file=sys.stderr)
-            return None, EXIT_INFEASIBLE
-        return p0, EXIT_OK
-    res = phase1(lp, options)
-    if res.status is PhaseOneStatus.NO_STRICT_INTERIOR:
-        print("program has no strict interior point", file=sys.stderr)
-        return None, EXIT_INFEASIBLE
-    return res.p0, EXIT_OK
-
-
-def run(config: CliConfig, text: bytes) -> tuple[int, bytes]:
-    """Execute one command against a program document; returns the exit code
-    and the bytes destined for the output stream."""
+def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
+    """Execute one parsed command line against a program document; returns
+    the exit code and the bytes destined for the output stream."""
     lp = load_lp(text)
-    options = SolveOptions(seed=config.seed, tolerance=config.tolerance, solver=config.solver)
+    point = _parse_point(args.interior_point)
+    options = SolveOptions(seed=args.seed, tolerance=args.tolerance, solver=args.solver)
 
-    if config.command == "solve":
-        sol = solve(lp, interior_hint=config.interior_point, options=options)
+    if args.command == "solve":
+        sol = solve(lp, interior_hint=point, options=options)
         return _STATUS_EXIT[sol.status], save_solution(sol)
 
-    if config.command == "phase1":
+    if args.command == "phase1":
         res = phase1(lp, options)
         doc = {
             "status": res.status.value,
@@ -147,60 +101,41 @@ def run(config: CliConfig, text: bytes) -> tuple[int, bytes]:
         code = EXIT_OK if res.status is PhaseOneStatus.STRICT_INTERIOR else EXIT_INFEASIBLE
         return code, _dumps(doc)
 
-    if config.command == "reduce":
-        if config.stage == "phase1":
-            G = [[float(v) for v in row] for row in lp.A]
-            h = [float(-v) for v in lp.b]
+    if args.command == "reduce":
+        if args.stage == "phase1":
+            prob = PiecewiseMaxProblem(G=lp.A, h=-lp.b)
         else:
-            p0, code = _interior(lp, config, options)
-            if p0 is None:
-                return code, b""
-            c = lp.c if lp.sense is Sense.MAXIMIZE else -lp.c
-            translated, _ = make_origin_strictly_feasible(lp, p0)
-            rotated = rotate_problem(translated, rotation_to_last_axis(c))
-            spp = build_support_problem(dual_constraint_points(rotated))
-            G = [[float(v) for v in row] for row in spp.minmax.G]
-            h = [float(v) for v in spp.minmax.h]
-        return EXIT_OK, _dumps({"G": G, "h": h, "stage": config.stage})
+            p0 = check_interior(lp, point, options)
+            if isinstance(p0, SolutionStatus):
+                print(f"no usable interior point: {p0.value}", file=sys.stderr)
+                return _STATUS_EXIT[p0], b""
+            prob = prepare(lp, p0)[0].minmax
+        return EXIT_OK, _dumps({"G": prob.G.tolist(), "h": prob.h.tolist(), "stage": args.stage})
 
-    if config.command == "viz":
+    if args.command == "viz":
         if lp.dimension != 2:
             raise LPError("viz needs a two-dimensional program")
-        sol = solve(lp, interior_hint=config.interior_point, options=options)
+        sol = solve(lp, interior_hint=point, options=options)
         return EXIT_OK, render_svg(lp, sol)
 
-    raise LPError(f"unknown command {config.command!r}")
+    raise LPError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = CliConfig(
-            command=args.command,
-            input=args.input,
-            output=args.output,
-            seed=args.seed,
-            tolerance=args.tolerance,
-            solver=args.solver,
-            interior_point=_parse_point(args.interior_point),
-            stage=getattr(args, "stage", "support"),
-        )
-        _check_config(config)
-        with open(config.input, "rb") as f:
+        if not args.tolerance > 0:
+            raise LPError("--tolerance must be positive")
+        with open(args.input, "rb") as f:
             text = f.read()
+        code, payload = run(args, text)
     except (OSError, LPError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
 
-    try:
-        code, payload = run(config, text)
-    except LPError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-
     if payload:
-        if config.output is not None:
-            with open(config.output, "wb") as f:
+        if args.output is not None:
+            with open(args.output, "wb") as f:
                 f.write(payload)
         else:
             sys.stdout.write(payload.decode("utf-8"))

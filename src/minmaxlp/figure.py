@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .model import LinearProgram, Solution, SolutionStatus
+from .reduction import dual_constraint_points
 
 SIZE = 800
 PAD = 1.2
@@ -76,15 +77,13 @@ def _line_geometry(a: np.ndarray, b: float):
 
 
 def _intersections(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    points = []
-    n = len(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            M = A[[i, j]]
-            scale = np.linalg.norm(A[i]) * np.linalg.norm(A[j])
-            if abs(np.linalg.det(M)) > 1e-9 * max(scale, 1e-300):
-                points.append(np.linalg.solve(M, b[[i, j]]))
-    return points
+    """Crossing point of every pair of rows that are not (nearly) parallel."""
+    i, j = np.triu_indices(len(b), k=1)
+    M = np.stack([A[i], A[j]], axis=1)
+    norms = np.linalg.norm(A, axis=1)
+    crossing = np.abs(np.linalg.det(M)) > 1e-9 * np.maximum(norms[i] * norms[j], 1e-300)
+    rhs = np.stack([b[i], b[j]], axis=1)[crossing]
+    return list(np.linalg.solve(M[crossing], rhs[:, :, None])[:, :, 0])
 
 
 def _path(parent, d: str, color: str, **extra):
@@ -101,7 +100,7 @@ def render_svg(lp: LinearProgram, solution: Solution | None = None) -> bytes:
     A = np.asarray(lp.A, dtype=float)
     b = np.asarray(lp.b, dtype=float)
 
-    duals = -A / b[:, None] if (b > 0).all() else None
+    duals = dual_constraint_points(lp) if (b > 0).all() else None
     anchors = _intersections(A, b)
     if duals is not None:
         anchors.extend(duals)

@@ -199,7 +199,7 @@ def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Gene
     return z[:d], float(z[-1]), box_active
 
 
-def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0, d_max: int = D_MAX,
+def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
                 tolerance: float = 1e-9) -> MinMaxResult:
     """Exact minimization via the epigraph LP.
 
@@ -207,11 +207,11 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0, d_max: int = D_MAX,
     bounded; if the optimum presses against the box, the box is doubled once
     and the solve repeated.  Still pressing with a strictly better value means
     genuine descent to minus infinity: UnboundedBelow, with the last iterate
-    as witness.  Raises :class:`DimensionCapError` above ``d_max`` variables.
+    as witness.  Raises :class:`DimensionCapError` above ``D_MAX`` variables.
     """
-    if prob.d > d_max:
+    if prob.d > D_MAX:
         raise DimensionCapError(
-            f"exact backend is capped at {d_max} variables, got {prob.d}; "
+            f"exact backend is capped at {D_MAX} variables, got {prob.d}; "
             "use solve_subgradient"
         )
     rng = np.random.default_rng(seed)
@@ -245,11 +245,12 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0, d_max: int = D_MAX,
 
 @dataclass(frozen=True)
 class SubgradientParams:
-    max_iters: int = 20000
-    step_rule: str = "polyak-level"
     tolerance: float = 1e-7
     x0: np.ndarray | None = None
 
+
+# subgradient steps before the best point so far is returned unconverged
+MAX_ITERS = 20000
 
 # iterations a level may run without delta/2 progress before halving delta
 LEVEL_PATIENCE = 400
@@ -269,11 +270,6 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
     shrinks below the requested tolerance.
     """
     params = params or SubgradientParams()
-    if params.step_rule != "polyak-level":
-        raise SolverError(f"unknown step rule {params.step_rule!r}")
-    if params.max_iters < 1:
-        raise SolverError("max_iters must be positive")
-
     x = np.zeros(prob.d) if params.x0 is None else np.array(params.x0, dtype=float)
     if x.shape != (prob.d,):
         raise SolverError(f"x0 must have length {prob.d}")
@@ -296,7 +292,7 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
     streak = 0  # consecutive successful levels; sustained descent doubles delta
     converged = False
 
-    for _ in range(params.max_iters):
+    for _ in range(MAX_ITERS):
         f, argmax = evaluate(prob, x)
         if not np.isfinite(f):
             x = x_best.copy()

@@ -1,11 +1,12 @@
 """The full pipeline from LP to min-max and back.
 
-Steps: find a strict interior point (or verify a supplied one), translate it
-to the origin, rotate the objective onto the last axis, dualize each
-constraint plane into a point, and search for the non-vertical plane that
-supports those points from below with the most negative z-intercept.  That
-search is a piecewise-linear min-max in the first d-1 coordinates of the
-plane's slope; its optimum dualizes straight back to the LP optimum.
+Steps: find a strict interior point or verify a supplied one
+(:func:`check_interior`); translate it to the origin, rotate the objective
+onto the last axis and dualize each constraint plane into a point
+(:func:`prepare`); then search for the non-vertical plane that supports
+those points from below with the most negative z-intercept.  That search is
+a piecewise-linear min-max in the first d-1 coordinates of the plane's
+slope; its optimum dualizes straight back to the LP optimum.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResul
     if options.solver == "exact":
         return solve_exact(prob, seed=options.seed, tolerance=options.tolerance)
     if options.solver == "subgradient":
-        return solve_subgradient(prob, SubgradientParams())
+        return solve_subgradient(prob, SubgradientParams(tolerance=options.tolerance))
     raise ReductionError(f"unknown solver {options.solver!r}")
 
 
@@ -182,6 +183,39 @@ def _pull_inside(A: np.ndarray, b: np.ndarray, p0: np.ndarray, x: np.ndarray) ->
     return p0 + max(step, 0.0) * (x - p0)
 
 
+def check_interior(
+    lp: LinearProgram, hint: np.ndarray | None = None, options: SolveOptions | None = None
+) -> np.ndarray | SolutionStatus:
+    """A strict interior point of ``lp``: the hint when it is strictly inside,
+    otherwise the phase-1 witness.  When there is none, the status that ends
+    the solve: ``INPUT_ERROR`` (malformed program or hint),
+    ``ORIGIN_NOT_INTERIOR`` (hint not strictly inside) or ``INFEASIBLE``."""
+    if not validate(lp).ok:
+        return SolutionStatus.INPUT_ERROR
+    if hint is None:
+        ph = phase1(lp, options)
+        if ph.status is PhaseOneStatus.NO_STRICT_INTERIOR:
+            return SolutionStatus.INFEASIBLE
+        return ph.p0
+    p0 = np.asarray(hint, dtype=float)
+    if p0.shape != (lp.dimension,) or not np.isfinite(p0).all():
+        return SolutionStatus.INPUT_ERROR
+    if float((lp.A @ p0 - lp.b).max()) >= -EPS_STRICT:
+        return SolutionStatus.ORIGIN_NOT_INTERIOR
+    return p0
+
+
+def prepare(lp: LinearProgram, p0: np.ndarray) -> tuple[SupportPlaneProblem, ProblemTransform]:
+    """Reduce ``lp`` to its support-plane problem around the interior point
+    ``p0``: flip a minimize objective, translate ``p0`` to the origin, rotate
+    the objective onto the last axis and dualize the constraints.  The
+    transform maps the reduced coordinates back to the original ones."""
+    translated, translation = make_origin_strictly_feasible(lp, p0)
+    rotation = rotation_to_last_axis(lp.c if lp.sense is Sense.MAXIMIZE else -lp.c)
+    spp = build_support_problem(dual_constraint_points(rotate_problem(translated, rotation)))
+    return spp, ProblemTransform(rotation=rotation, translation=translation)
+
+
 def solve(
     lp: LinearProgram,
     interior_hint: np.ndarray | None = None,
@@ -190,26 +224,11 @@ def solve(
     """Solve the LP end to end; statuses cover every outcome, so this only
     raises on configuration problems (unknown solver, dimension cap)."""
     options = options or SolveOptions()
-    if not validate(lp).ok:
-        return Solution(status=SolutionStatus.INPUT_ERROR)
+    p0 = check_interior(lp, interior_hint, options)
+    if isinstance(p0, SolutionStatus):
+        return Solution(status=p0)
 
-    # the pipeline maximizes; flip the objective for minimize and report
-    # values against the original one
-    c = lp.c if lp.sense is Sense.MAXIMIZE else -lp.c
-
-    if interior_hint is not None:
-        p0 = np.asarray(interior_hint, dtype=float)
-        if p0.shape != (lp.dimension,) or not np.isfinite(p0).all():
-            return Solution(status=SolutionStatus.INPUT_ERROR)
-        if float((lp.A @ p0 - lp.b).max()) >= -EPS_STRICT:
-            return Solution(status=SolutionStatus.ORIGIN_NOT_INTERIOR)
-    else:
-        ph = phase1(lp, options)
-        if ph.status is PhaseOneStatus.NO_STRICT_INTERIOR:
-            return Solution(status=SolutionStatus.INFEASIBLE)
-        p0 = ph.p0
-
-    if not c.any():
+    if not lp.c.any():
         # constant objective: any feasible point is optimal
         return Solution(
             status=SolutionStatus.OPTIMAL,
@@ -219,26 +238,17 @@ def solve(
             interior_point=p0,
         )
 
-    working = LinearProgram(dimension=lp.dimension, A=lp.A, b=lp.b, c=c)
-    translated, translation = make_origin_strictly_feasible(working, p0)
-    rotation = rotation_to_last_axis(c)
-    rotated = rotate_problem(translated, rotation)
-
-    duals = dual_constraint_points(rotated)
-    spp = build_support_problem(duals)
+    spp, transform = prepare(lp, p0)
     result = _run_minmax(spp.minmax, options)
     status, dual_point = classify_and_recover(spp, result, eps_unbounded=options.tolerance)
-
     if status is SolutionStatus.UNBOUNDED:
         return Solution(status=SolutionStatus.UNBOUNDED, interior_point=p0)
 
-    transform = ProblemTransform(rotation=rotation, translation=translation)
-    x = recover_solution(transform, dual_point)
-    x = _pull_inside(lp.A, lp.b, p0, x)
+    x = _pull_inside(lp.A, lp.b, p0, recover_solution(transform, dual_point))
     return Solution(
         status=SolutionStatus.OPTIMAL,
         x=x,
-        objective=float(lp.c @ x),
+        objective=float(lp.c @ x),  # the original objective, not the flipped one
         residual=float((lp.A @ x - lp.b).max()),
         interior_point=p0,
     )

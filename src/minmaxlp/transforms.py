@@ -40,14 +40,14 @@ class HouseholderRotation:
     """Rotation sending the unit objective direction to e_d.
 
     ``u_hat`` is the unit reflection axis; ``None`` means the objective
-    already points along e_d and the map is the identity.  The first-row
-    negation turns the reflection (det -1) into a rotation (det +1) without
-    moving e_d, since the reflected objective has first coordinate zero.
+    already points along e_d and the map is the identity.  Otherwise the
+    reflection is followed by negating the first coordinate, which turns it
+    (det -1) into a rotation (det +1) without moving e_d, since the reflected
+    objective has first coordinate zero.
     """
 
     d: int
     u_hat: np.ndarray | None
-    negate_first_row: bool
 
     def __post_init__(self) -> None:
         if self.u_hat is not None:
@@ -61,7 +61,6 @@ class HouseholderRotation:
         R = np.eye(self.d)
         if self.u_hat is not None:
             R -= 2.0 * np.outer(self.u_hat, self.u_hat)
-        if self.negate_first_row:
             R[0] = -R[0]
         return R
 
@@ -111,8 +110,8 @@ def rotation_to_last_axis(c: np.ndarray) -> HouseholderRotation:
     u[-1] -= 1.0
     u_norm = float(np.linalg.norm(u))
     if u_norm < EPS_IDENTITY:
-        return HouseholderRotation(d=c.size, u_hat=None, negate_first_row=False)
-    return HouseholderRotation(d=c.size, u_hat=u / u_norm, negate_first_row=True)
+        return HouseholderRotation(d=c.size, u_hat=None)
+    return HouseholderRotation(d=c.size, u_hat=u / u_norm)
 
 
 def apply_rotation(
@@ -133,13 +132,11 @@ def apply_rotation(
     rows = v[None, :] if single else v
     if inverse:
         rows = rows.copy()
-        if rotation.negate_first_row:
-            rows[:, 0] = -rows[:, 0]
+        rows[:, 0] = -rows[:, 0]
         out = reflect(rows)
     else:
         out = reflect(rows)
-        if rotation.negate_first_row:
-            out[:, 0] = -out[:, 0]
+        out[:, 0] = -out[:, 0]
     return out[0] if single else out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LinearProgram, Sense, Solution, SolutionStatus
+from minmaxlp.model import LinearProgram, Sense, Solution, SolutionStatus
 
 DET_TOL = 1e-10
 FEAS_TOL = 1e-9

@@ -25,9 +25,9 @@ from minmaxlp.dual_geometry import (
 )
 from minmaxlp.minmax import PiecewiseMaxProblem, MinMaxStatus, solve_exact
 from minmaxlp.model import LinearProgram, SolutionStatus
-from minmaxlp.oracle import oracle_solve
 from minmaxlp.reduction import PhaseOneStatus, SolveOptions, phase1, solve
 from minmaxlp.transforms import apply_rotation, rotation_to_last_axis
+from oracle import oracle_solve
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"

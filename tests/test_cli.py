@@ -2,12 +2,18 @@
 SVG element census."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 
+import minmaxlp
 from minmaxlp.cli import main
+from minmaxlp.model import LinearProgram, save_lp
+from minmaxlp.reduction import prepare
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -159,6 +165,30 @@ class TestReduce:
         assert payload == b""
         assert "interior" in capsys.readouterr().err
 
+    def test_support_stage_flips_a_minimize_objective(self, tmp_path):
+        p0 = np.array([0.1, -0.2])
+        dumps = {}
+        for sense, c in (("minimize", [1.0, 2.0]), ("maximize", [-1.0, -2.0])):
+            lp = LinearProgram(
+                dimension=2,
+                A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+                b=[1.0, 1.0, 1.0, 1.0, 1.5],
+                c=c,
+                sense=sense,
+            )
+            program = tmp_path / f"{sense}.json"
+            program.write_bytes(save_lp(lp))
+            code, payload = run_cli(
+                tmp_path, "reduce", "--input", str(program), "--interior-point", "0.1,-0.2"
+            )
+            assert code == 0
+            dumps[sense] = json.loads(payload)
+            prob = prepare(lp, p0)[0].minmax
+            assert dumps[sense]["G"] == prob.G.tolist()
+            assert dumps[sense]["h"] == prob.h.tolist()
+        # minimizing c is maximizing -c
+        assert dumps["minimize"] == dumps["maximize"]
+
     def test_three_dimensional_support(self, tmp_path):
         code, payload = run_cli(tmp_path, "reduce", "--input", str(DATA / "tilted.json"))
         assert code == 0
@@ -212,3 +242,9 @@ class TestViz:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         args = ("viz", "--input", str(DATA / "bounded.json"))
         assert run_cli(tmp_path, *args) == run_cli(tmp_path, *args)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test extra: the package itself must run without it
+    code = "import minmaxlp, minmaxlp.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=Path(minmaxlp.__file__).parents[1])

@@ -229,10 +229,6 @@ class TestSolveSubgradient:
         result = solve_subgradient(v_problem(), SubgradientParams(x0=np.array([10.0])))
         assert result.value <= 1e-6
 
-    def test_unknown_step_rule_rejected(self):
-        with pytest.raises(SolverError, match="step rule"):
-            solve_subgradient(v_problem(), SubgradientParams(step_rule="constant"))
-
     def test_works_above_exact_cap(self):
         rng = np.random.default_rng(26)
         d = 15

@@ -6,7 +6,7 @@ import pytest
 
 from lpgen import bounded_lp, flat_lp, infeasible_lp, unbounded_lp
 from minmaxlp.model import LinearProgram, SolutionStatus
-from minmaxlp.oracle import enumerate_vertices, oracle_solve
+from oracle import enumerate_vertices, oracle_solve
 
 BOX = LinearProgram(
     dimension=2,

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from lpgen import bounded_lp, flat_lp, infeasible_lp, unbounded_lp
+from minmaxlp import minmax
 from minmaxlp.dual_geometry import Plane, is_feasible_dual_plane
 from minmaxlp.errors import DimensionCapError, ReductionError
 from minmaxlp.minmax import MinMaxResult, MinMaxStatus, evaluate, solve_exact
 from minmaxlp.model import LinearProgram, SolutionStatus
-from minmaxlp.oracle import oracle_solve
 from minmaxlp.reduction import (
     PhaseOneStatus,
     SolveOptions,
@@ -21,6 +21,7 @@ from minmaxlp.reduction import (
     solve,
 )
 from minmaxlp.transforms import make_origin_strictly_feasible, rotate_problem, rotation_to_last_axis
+from oracle import oracle_solve
 
 ROOF = LinearProgram(
     dimension=2,
@@ -321,6 +322,23 @@ class TestSubgradientBackend:
             assert sol.status is SolutionStatus.OPTIMAL
             assert abs(sol.objective - ref.objective) <= 1e-3 * (1 + abs(ref.objective))
             assert sol.residual <= 1e-7
+
+    def test_tolerance_reaches_the_backend(self, monkeypatch):
+        calls = []
+
+        def counted(prob, x):
+            calls.append(None)
+            return evaluate(prob, x)
+
+        monkeypatch.setattr(minmax, "evaluate", counted)
+        lp, _ = bounded_lp(np.random.default_rng(29), d=4, n=40)
+        used = []
+        for tolerance in (1e-9, 1e-3):
+            calls.clear()
+            sol = solve(lp, options=SolveOptions(solver="subgradient", tolerance=tolerance))
+            assert sol.status is SolutionStatus.OPTIMAL
+            used.append(len(calls))
+        assert used[1] < used[0]
 
     def test_open_corridor(self):
         lp = LinearProgram(

@@ -66,12 +66,10 @@ class TestRotation:
     def test_axis_is_unit(self):
         rotation = rotation_to_last_axis(np.array([3.0, 4.0]))
         assert np.linalg.norm(rotation.u_hat) == pytest.approx(1.0, abs=1e-12)
-        assert rotation.negate_first_row
 
     def test_aligned_objective_is_identity(self):
         rotation = rotation_to_last_axis(np.array([0.0, 0.0, 2.5]))
         assert rotation.u_hat is None
-        assert not rotation.negate_first_row
         v = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(apply_rotation(rotation, v), v)
 
@@ -203,14 +201,14 @@ class TestRecovery:
 
     def test_translation_only(self):
         transform = ProblemTransform(
-            HouseholderRotation(d=2, u_hat=None, negate_first_row=False),
+            HouseholderRotation(d=2, u_hat=None),
             Translation(np.array([1.0, 1.0])),
         )
         np.testing.assert_array_equal(recover_solution(transform, np.zeros(2)), [1.0, 1.0])
 
     def test_identity_transform(self):
         transform = ProblemTransform(
-            HouseholderRotation(d=3, u_hat=None, negate_first_row=False), Translation(np.zeros(3))
+            HouseholderRotation(d=3, u_hat=None), Translation(np.zeros(3))
         )
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(transform.forward(x), x)
