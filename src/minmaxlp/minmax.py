@@ -4,15 +4,20 @@ max_i (G_i . x + h_i).
 Two backends.  The exact one solves the epigraph LP (minimize t subject to
 G_i . x + h_i <= t) by randomized incremental insertion inside a symmetric
 bounding box, recursing on one fewer variable each time a constraint is
-violated; it is intended for low dimension.  The iterative one takes Polyak
-subgradient steps toward a slowly lowered target level and scales to any
-dimension at the price of approximate answers.
+violated; it is intended for low dimension.  Its recursion works on lists of
+Python floats rather than numpy arrays: a solve makes tens to hundreds of
+recursive calls, each on a handful of rows, and numpy's fixed cost per call
+(slicing, stacking, one dispatch per row) outweighed the arithmetic.  The
+iterative one takes Polyak subgradient steps toward a slowly lowered target
+level and scales to any dimension at the price of approximate answers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 import numpy as np
 
@@ -94,15 +99,21 @@ def _active_set(prob: PiecewiseMaxProblem, x: np.ndarray, value: float) -> tuple
 # exact backend: randomized incremental LP on the epigraph
 
 
-def _solve_interval(A: np.ndarray, b: np.ndarray, c0: float, lo: float, hi: float, tol: float):
-    """One-variable base case: intersect half-lines, then optimize."""
-    for a, rhs in zip(A[:, 0], b):
-        # rows are unit-normalized on entry, so |a| is never small here
-        bound = rhs / a
-        if a > 0:
-            hi = min(hi, bound)
+def _solve_interval(A: list, b: list, c0: float, lo: float, hi: float, tol: float):
+    """One-variable base case: intersect half-lines, then optimize.
+
+    A row (a) normalizes to (a/|a|, rhs/|a|), whose bound is exactly rhs/a,
+    so the rows are used as given after the same vacuous-row test as
+    :func:`_seidel`'s.
+    """
+    for (a,), rhs in zip(A, b):
+        if abs(a) <= 1e-13:
+            if rhs < -tol:
+                return None  # 0 . x <= negative: inconsistent
+        elif a > 0:
+            hi = min(hi, rhs / a)
         else:
-            lo = max(lo, bound)
+            lo = max(lo, rhs / a)
     if lo > hi + tol * (1 + abs(lo) + abs(hi)):
         return None
     if lo > hi:
@@ -113,11 +124,11 @@ def _solve_interval(A: np.ndarray, b: np.ndarray, c0: float, lo: float, hi: floa
         x = lo
     else:
         x = hi
-    return np.array([x])
+    return [x]
 
 
-def _seidel(A: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            rng: np.random.Generator, tol: float):
+def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+            tol: float):
     """Minimize c . x over {A x <= b, lo <= x <= hi}, or None when the
     half-spaces are (numerically) inconsistent.
 
@@ -125,55 +136,64 @@ def _seidel(A: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.
     the optimum, so that variable is eliminated and the prefix re-solved one
     dimension down.  The box is kept implicit: the running point always
     satisfies it, and eliminated coordinates re-enter as two ordinary rows.
+
+    ``A`` is a list of rows, and ``b``, ``c``, ``lo``, ``hi`` and the
+    returned ``x`` are lists of floats: each subproblem holds a handful of
+    rows, too few for numpy's fixed cost per call to pay off.
     """
-    # normalize rows so pivots and violation thresholds are scale-free
-    keep = []
-    if A.shape[0]:
-        norms = np.linalg.norm(A, axis=1)
-        for i, norm in enumerate(norms):
-            if norm <= 1e-13:
-                if b[i] < -tol:
-                    return None  # 0 . x <= negative: inconsistent
-                continue  # vacuous row
-            keep.append(i)
-        A = A[keep] / norms[keep][:, None]
-        b = b[keep] / norms[keep]
-
-    dim = c.size
+    dim = len(c)
     if dim == 1:
-        return _solve_interval(A, b, float(c[0]), float(lo[0]), float(hi[0]), tol)
+        return _solve_interval(A, b, c[0], lo[0], hi[0], tol)
+    # normalize rows so pivots and violation thresholds are scale-free
+    rows, rhss = [], []
+    for row, rhs in zip(A, b):
+        norm = math.hypot(*row)
+        if norm <= 1e-13:
+            if rhs < -tol:
+                return None  # 0 . x <= negative: inconsistent
+            continue  # vacuous row
+        rows.append([v / norm for v in row])
+        rhss.append(rhs / norm)
 
-    tie = np.abs(c) <= TIE_TOL * max(1.0, float(np.abs(c).max()))
-    x = np.where(c > 0, lo, hi)
-    x[tie] = np.clip(0.0, lo[tie], hi[tie])
+    tie = TIE_TOL * max(1.0, max(map(abs, c)))
+    x = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
+         for cj, l, h in zip(c, lo, hi)]
+    # the point only changes after a violation, so neither does its slack term
+    x_slack = 1e-12 * (1 + max(map(abs, x)))
 
-    order = rng.permutation(A.shape[0])
+    order = rng.permutation(len(rows)).tolist()
     for position, i in enumerate(order):
-        row, rhs = A[i], b[i]
-        slack = tol * (1 + abs(rhs)) + 1e-12 * (1 + float(np.abs(x).max()))
-        if row @ x <= rhs + slack:
+        row, rhs = rows[i], rhss[i]
+        slack = tol * (1 + abs(rhs)) + x_slack
+        if sum(map(mul, row, x)) <= rhs + slack:
             continue
-        # optimum lies on row . x = rhs; eliminate the largest coordinate
-        k = int(np.argmax(np.abs(row)))
+        # optimum lies on row . x = rhs; eliminate the first largest coordinate
+        mags = list(map(abs, row))
+        k = mags.index(max(mags))
         pivot = row[k]
-        rest = np.delete(np.arange(dim), k)
-        alpha = row[rest] / pivot  # x_k = beta - alpha . x_rest
+        alpha = [v / pivot for v in row]  # x_k = beta - alpha . x_rest
         beta = rhs / pivot
 
-        prefix = A[order[:position]]
-        sub_A = prefix[:, rest] - np.outer(prefix[:, k], alpha)
-        sub_b = b[order[:position]] - prefix[:, k] * beta
+        sub_A, sub_b = [], []
+        for p in order[:position]:
+            prow = rows[p]
+            pk = prow[k]
+            sub_row = [v - pk * a for v, a in zip(prow, alpha)]
+            del sub_row[k]
+            sub_A.append(sub_row)
+            sub_b.append(rhss[p] - pk * beta)
+        ck = c[k]
+        sub_c = [cj - ck * a for cj, a in zip(c, alpha)]
+        del alpha[k], sub_c[k]
         # the box on x_k becomes two ordinary rows of the subproblem
-        sub_A = np.vstack([sub_A, -alpha[None, :], alpha[None, :]])
-        sub_b = np.concatenate([sub_b, [hi[k] - beta, beta - lo[k]]])
-        sub_c = c[rest] - c[k] * alpha
+        sub_A += [[-a for a in alpha], alpha]
+        sub_b += [hi[k] - beta, beta - lo[k]]
 
-        sub_x = _seidel(sub_A, sub_b, sub_c, lo[rest], hi[rest], rng, tol)
-        if sub_x is None:
+        x = _seidel(sub_A, sub_b, sub_c, lo[:k] + lo[k + 1:], hi[:k] + hi[k + 1:], rng, tol)
+        if x is None:
             return None
-        x = np.empty(dim)
-        x[rest] = sub_x
-        x[k] = beta - alpha @ sub_x
+        x.insert(k, beta - sum(map(mul, alpha, x)))
+        x_slack = 1e-12 * (1 + max(map(abs, x)))
     return x
 
 
@@ -184,17 +204,14 @@ def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Gene
     Returns (x, t, box_active).
     """
     d = prob.d
-    A = np.hstack([prob.G, -np.ones((prob.m, 1))])
-    b = -prob.h
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    lo = np.full(d + 1, -box)
-    hi = np.full(d + 1, box)
-    z = _seidel(A, b, c, lo, hi, rng, tol)
+    A = [row + [-1.0] for row in prob.G.tolist()]
+    c = [0.0] * d + [1.0]
+    z = _seidel(A, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol)
     if z is None:
         raise SolverError(
             "incremental solve hit an inconsistent subsystem; retry with a different seed"
         )
+    z = np.array(z)
     box_active = bool(np.any(np.abs(z) >= box * (1 - 1e-7)))
     return z[:d], float(z[-1]), box_active
 

@@ -4,12 +4,14 @@ certificates, determinism."""
 import numpy as np
 import pytest
 
+import seidel_reference
 from bruteforce import reference_minmax
 from minmaxlp.errors import DimensionCapError, SolverError
 from minmaxlp.minmax import (
     MinMaxStatus,
     PiecewiseMaxProblem,
     SubgradientParams,
+    _seidel,
     evaluate,
     solve_exact,
     solve_subgradient,
@@ -134,16 +136,80 @@ class TestSolveExact:
 
     def test_value_invariant_under_piece_shuffle(self):
         rng = np.random.default_rng(23)
-        for trial in range(20):
-            m = int(rng.integers(2, 8))
-            G = rng.standard_normal((m, 2))
+        for trial in range(40):
+            d = int(rng.integers(1, 6))
+            m = int(rng.integers(d + 1, d + 8))
+            G = rng.standard_normal((m, d))
             h = rng.standard_normal(m)
+            if trial % 2:
+                # duplicated pieces become zero rows one level down
+                dup = rng.integers(m, size=int(rng.integers(1, m + 1)))
+                G, h = np.vstack([G, G[dup]]), np.concatenate([h, h[dup]])
+                m = G.shape[0]
             base = solve_exact(PiecewiseMaxProblem(G, h), seed=0)
             perm = rng.permutation(m)
             shuffled = solve_exact(PiecewiseMaxProblem(G[perm], h[perm]), seed=0)
             assert base.status is shuffled.status
             if base.status is MinMaxStatus.MINIMIZED:
                 assert shuffled.value == pytest.approx(base.value, abs=1e-9 * (1 + abs(base.value)))
+
+
+def _epigraph_instance(rng):
+    """min t s.t. G x - t <= -h in a box, with 1-6 variables and 1-40 rows,
+    some of them zero (vacuous or inconsistent), duplicated or rescaled.
+    Half of them have entries in {-1, 0, 1}: equal pivots, degenerate
+    vertices and optima that only the tie rule makes unique."""
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(1, 41))
+    if rng.random() < 0.5:
+        G = rng.standard_normal((m, n - 1))
+        h = rng.standard_normal(m)
+    else:
+        G = rng.integers(-1, 2, (m, n - 1)).astype(float)
+        h = rng.integers(-1, 2, m).astype(float)
+    if n > 1 and rng.random() < 0.3:
+        G[:, rng.integers(n - 1)] = 0.0  # a flat direction for the tie rule
+    box = 1e6 * (1.0 + np.abs(h).max() + np.linalg.norm(G, axis=1).max(initial=0.0))
+    A = np.hstack([G, -np.ones((m, 1))])
+    b = -h
+    kind = int(rng.integers(4))
+    picked = rng.integers(m, size=int(rng.integers(0, m)))
+    if kind == 1:
+        copied = rng.integers(m, size=picked.size)
+        A[picked], b[picked] = A[copied], b[copied]
+    elif kind == 2:
+        A[picked] = 0.0
+        b[picked] = rng.choice([0.0, 1.0, -1.0], picked.size, p=[0.45, 0.45, 0.1])
+    elif kind == 3:
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, m)
+        A, b = A * scale[:, None], b * scale
+    c = np.zeros(n)
+    c[-1] = 1.0
+    return A, b, c, np.full(n, -box), np.full(n, box)
+
+
+def test_seidel_matches_numpy_reference():
+    """The float-list recursion takes the numpy version's decisions: same
+    feasibility verdict, same random draws, and the optimum equal up to
+    summation order."""
+    rng = np.random.default_rng(27)
+    solved = inconsistent = 0
+    for trial in range(200):
+        A, b, c, lo, hi = _epigraph_instance(rng)
+        rng_want, rng_got = np.random.default_rng(trial), np.random.default_rng(trial)
+        want = seidel_reference._seidel(A, b, c, lo, hi, rng_want, 1e-9)
+        got = _seidel(A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist(), rng_got, 1e-9)
+        # equal generator states: the same permutations were drawn in the same order
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state, trial
+        assert (got is None) == (want is None), trial
+        if want is None:
+            inconsistent += 1
+            continue
+        got = np.array(got)
+        assert abs(c @ got - c @ want) <= 1e-12 * max(1.0, abs(c @ want)), trial
+        assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.abs(want).max()), trial
+        solved += 1
+    assert solved >= 150 and inconsistent >= 5
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
