@@ -9,7 +9,10 @@ Python floats rather than numpy arrays: a solve makes tens to hundreds of
 recursive calls, each on a handful of rows, and numpy's fixed cost per call
 (slicing, stacking, one dispatch per row) outweighed the arithmetic.  The
 iterative one takes Polyak subgradient steps toward a slowly lowered target
-level and scales to any dimension at the price of approximate answers.
+level and scales to any dimension at the price of approximate answers.  Its
+loop works in preallocated buffers: a solve takes some 13,000 steps, each a
+handful of numpy calls on short vectors, so fresh arrays and Python helpers
+per step cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -285,6 +288,14 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
     stalls, ``delta`` halves and the iterate restarts from the incumbent.
     Always returns the best point seen, flagged ``converged`` once ``delta``
     shrinks below the requested tolerance.
+
+    A solve runs for thousands of steps on vectors of a few dozen entries,
+    where numpy's cost per call outweighs the arithmetic.  So each step
+    writes ``G @ x + h`` and ``x - s * g`` into buffers allocated once, reads
+    the squared row norms from a table built before the loop, and calls no
+    helper such as :func:`evaluate`; the arithmetic, and so every iterate, is
+    the same as with fresh arrays.  ``x_best`` is always a copy, never the
+    buffer that the step updates.
     """
     params = params or SubgradientParams()
     x = np.zeros(prob.d) if params.x0 is None else np.array(params.x0, dtype=float)
@@ -309,9 +320,17 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
     streak = 0  # consecutive successful levels; sustained descent doubles delta
     converged = False
 
+    G, h = prob.G, prob.h
+    rows = list(G)
+    row_norms = [float(g @ g) for g in rows]
+    values = np.empty(prob.m)
+    step = np.empty(prob.d)
     for _ in range(MAX_ITERS):
-        f, argmax = evaluate(prob, x)
-        if not np.isfinite(f):
+        np.dot(G, x, out=values)
+        values += h
+        argmax = int(values.argmax())
+        f = values.item(argmax)
+        if not math.isfinite(f):
             x = x_best.copy()
             delta *= 0.5
             stalled = 0
@@ -326,13 +345,13 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
                 active_set=_active_set(prob, x_best, f_best),
                 converged=False,
             )
-        g = prob.G[argmax]
-        gg = float(g @ g)
+        gg = row_norms[argmax]
         if gg == 0.0:
             # a constant piece is the max: its value floors the function
             converged = True
             break
-        x = x - ((f - (f_best - delta)) / gg) * g
+        np.multiply(rows[argmax], (f - (f_best - delta)) / gg, out=step)
+        x -= step
         stalled += 1
         if f_best <= level_best - 0.5 * delta:
             level_best = f_best

@@ -4,6 +4,10 @@ A point ``p`` dualizes to the plane ``p . x = -1``; a plane ``pi . x = sigma``
 with ``sigma != 0`` dualizes to the point ``-pi / sigma``.  Both maps are
 involutions (up to the scale freedom of plane coefficients), and they preserve
 which side of a plane a point lies on relative to the origin.
+
+The pipeline computes its dual points directly
+(``minmaxlp.reduction.dual_constraint_points``); these helpers state the
+duality in general so that the tests can check what the reduction relies on.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import GeometryError
+from minmaxlp.errors import GeometryError
 
 # |sigma| below this fraction of the normal's length counts as "through the
 # origin"; such planes have no dual point and no usable origin side.

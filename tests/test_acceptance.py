@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from bruteforce import reference_minmax
-from lpgen import bounded_lp, flat_lp, infeasible_lp, interior_lp, unbounded_lp
-from minmaxlp.cli import main
-from minmaxlp.dual_geometry import (
+from dual_geometry import (
     Plane,
     Side,
     dual_of_plane,
@@ -23,6 +21,8 @@ from minmaxlp.dual_geometry import (
     side_of,
     z_intercept,
 )
+from lpgen import bounded_lp, flat_lp, infeasible_lp, interior_lp, unbounded_lp
+from minmaxlp.cli import main
 from minmaxlp.minmax import PiecewiseMaxProblem, MinMaxStatus, solve_exact
 from minmaxlp.model import LinearProgram, SolutionStatus
 from minmaxlp.reduction import PhaseOneStatus, SolveOptions, phase1, solve

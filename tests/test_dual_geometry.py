@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minmaxlp.dual_geometry import (
+from dual_geometry import (
     Plane,
     Side,
     dual_of_plane,

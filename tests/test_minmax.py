@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import seidel_reference
+import subgradient_reference
 from bruteforce import reference_minmax
 from minmaxlp.errors import DimensionCapError, SolverError
 from minmaxlp.minmax import (
@@ -303,3 +304,55 @@ class TestSolveSubgradient:
         result = solve_subgradient(PiecewiseMaxProblem(G, h))
         assert result.status is MinMaxStatus.MINIMIZED
         assert result.value <= 1e-4
+
+
+def _polyak_instance(rng):
+    """1-24 variables and 1-250 pieces in C or Fortran order, some with a
+    zeroed row, duplicated rows or rows rescaled by 1e-3 to 1e3; a start
+    point half of the time, and one of three tolerances."""
+    d = int(rng.integers(1, 25))
+    m = int(rng.integers(1, 251))
+    G = rng.standard_normal((m, d))
+    h = rng.standard_normal(m)
+    kind = int(rng.integers(4))
+    picked = rng.integers(m, size=m // 4 + 1)
+    if kind == 1:
+        copied = rng.integers(m, size=picked.size)
+        G[picked], h[picked] = G[copied], h[copied]
+    elif kind == 2:
+        G[picked[0]] = 0.0  # a constant piece
+    elif kind == 3:
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, m)
+        G, h = G * scale[:, None], h * scale
+    if rng.random() < 0.5:
+        G = np.asfortranarray(G)
+    x0 = rng.standard_normal(d) if rng.random() < 0.5 else None
+    tolerance = float(rng.choice([1e-4, 1e-7, 1e-9]))
+    return PiecewiseMaxProblem(G, h), SubgradientParams(tolerance=tolerance, x0=x0)
+
+
+def test_subgradient_matches_reference():
+    """The buffered Polyak loop does the reference's arithmetic step for
+    step: bit-identical results, and the caller's start point untouched."""
+    rng = np.random.default_rng(28)
+    cases = [_polyak_instance(rng) for _ in range(200)]
+    # runaway descent, and a constant piece that is the maximum (gg == 0)
+    cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [0.5, -2.0]], h=[0.0, 1.0]),
+                  SubgradientParams()))
+    cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], h=[0.0, 0.0, 5.0]),
+                  SubgradientParams(x0=np.array([0.5, 0.0]))))
+    outcomes = set()
+    for trial, (prob, params) in enumerate(cases):
+        x0 = None if params.x0 is None else params.x0.copy()
+        want = subgradient_reference.solve_subgradient(prob, params)
+        got = solve_subgradient(prob, params)
+        if x0 is not None:
+            assert params.x0.tobytes() == x0.tobytes(), trial
+        assert got.status is want.status, trial
+        assert got.value == want.value, trial
+        assert got.converged == want.converged, trial
+        assert got.active_set == want.active_set, trial
+        assert got.x_star.tobytes() == want.x_star.tobytes(), trial
+        outcomes.add((want.status, want.converged))
+    assert outcomes == {(MinMaxStatus.MINIMIZED, True), (MinMaxStatus.MINIMIZED, False),
+                        (MinMaxStatus.UNBOUNDED_BELOW, False)}

@@ -5,11 +5,11 @@ brute-force oracle."""
 import numpy as np
 import pytest
 
+from dual_geometry import Plane, is_feasible_dual_plane
 from lpgen import bounded_lp, flat_lp, infeasible_lp, unbounded_lp
-from minmaxlp import minmax
-from minmaxlp.dual_geometry import Plane, is_feasible_dual_plane
+from minmaxlp import reduction
 from minmaxlp.errors import DimensionCapError, ReductionError
-from minmaxlp.minmax import MinMaxResult, MinMaxStatus, evaluate, solve_exact
+from minmaxlp.minmax import MinMaxResult, MinMaxStatus, solve_exact, solve_subgradient
 from minmaxlp.model import LinearProgram, SolutionStatus
 from minmaxlp.reduction import (
     PhaseOneStatus,
@@ -324,21 +324,19 @@ class TestSubgradientBackend:
             assert sol.residual <= 1e-7
 
     def test_tolerance_reaches_the_backend(self, monkeypatch):
-        calls = []
+        received = []
 
-        def counted(prob, x):
-            calls.append(None)
-            return evaluate(prob, x)
+        def recorded(prob, params):
+            received.append(params)
+            return solve_subgradient(prob, params)
 
-        monkeypatch.setattr(minmax, "evaluate", counted)
+        monkeypatch.setattr(reduction, "solve_subgradient", recorded)
         lp, _ = bounded_lp(np.random.default_rng(29), d=4, n=40)
-        used = []
         for tolerance in (1e-9, 1e-3):
-            calls.clear()
+            received.clear()
             sol = solve(lp, options=SolveOptions(solver="subgradient", tolerance=tolerance))
             assert sol.status is SolutionStatus.OPTIMAL
-            used.append(len(calls))
-        assert used[1] < used[0]
+            assert received and all(params.tolerance == tolerance for params in received)
 
     def test_open_corridor(self):
         lp = LinearProgram(
