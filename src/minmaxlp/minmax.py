@@ -7,7 +7,10 @@ bounding box, recursing on one fewer variable each time a constraint is
 violated; it is intended for low dimension.  Its recursion works on lists of
 Python floats rather than numpy arrays: a solve makes tens to hundreds of
 recursive calls, each on a handful of rows, and numpy's fixed cost per call
-(slicing, stacking, one dispatch per row) outweighed the arithmetic.  The
+(slicing, stacking, one dispatch per row) outweighed the arithmetic.  Three
+in four of those subproblems or more have one or two variables, so the
+two-variable level is one flat loop that solves its one-variable subproblems
+in place, with the same arithmetic and so the same bits.  The
 iterative one takes Polyak subgradient steps toward a slowly lowered target
 level and scales to any dimension at the price of approximate answers.  Its
 loop works in preallocated buffers: a solve takes some 13,000 steps, each a
@@ -18,7 +21,7 @@ per step cost more than the arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
 
@@ -81,6 +84,9 @@ class MinMaxResult:
     value: float | None
     active_set: tuple[int, ...] | None
     converged: bool = True
+    # exact backend: {"subproblems": {k: subproblems with k variables},
+    # "box_doublings": 0 or 1}, summed over its epigraph solves
+    stats: dict = field(default_factory=dict)
 
 
 def evaluate(prob: PiecewiseMaxProblem, x: np.ndarray) -> tuple[float, int]:
@@ -94,7 +100,11 @@ def evaluate(prob: PiecewiseMaxProblem, x: np.ndarray) -> tuple[float, int]:
 
 
 def _active_set(prob: PiecewiseMaxProblem, x: np.ndarray, value: float) -> tuple[int, ...]:
-    values = prob.G @ x + prob.h
+    return _active_pieces(prob.G @ x + prob.h, value)
+
+
+def _active_pieces(values: np.ndarray, value: float) -> tuple[int, ...]:
+    """Indices of the pieces whose ``values`` lie within ACTIVE_TOL of ``value``."""
     return tuple(int(i) for i in np.flatnonzero(values >= value - ACTIVE_TOL * (1 + abs(value))))
 
 
@@ -131,7 +141,7 @@ def _solve_interval(A: list, b: list, c0: float, lo: float, hi: float, tol: floa
 
 
 def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
-            tol: float):
+            tol: float, counts: list | None = None):
     """Minimize c . x over {A x <= b, lo <= x <= hi}, or None when the
     half-spaces are (numerically) inconsistent.
 
@@ -142,11 +152,18 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
 
     ``A`` is a list of rows, and ``b``, ``c``, ``lo``, ``hi`` and the
     returned ``x`` are lists of floats: each subproblem holds a handful of
-    rows, too few for numpy's fixed cost per call to pay off.
+    rows, too few for numpy's fixed cost per call to pay off.  ``counts[k]``
+    is raised by one for every subproblem with k variables, this one
+    included.
     """
     dim = len(c)
+    if counts is None:
+        counts = [0] * (dim + 1)
+    counts[dim] += 1
     if dim == 1:
         return _solve_interval(A, b, c[0], lo[0], hi[0], tol)
+    if dim == 2:
+        return _seidel_plane(A, b, c, lo, hi, rng, tol, counts)
     # normalize rows so pivots and violation thresholds are scale-free
     rows, rhss = [], []
     for row, rhs in zip(A, b):
@@ -192,7 +209,8 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
         sub_A += [[-a for a in alpha], alpha]
         sub_b += [hi[k] - beta, beta - lo[k]]
 
-        x = _seidel(sub_A, sub_b, sub_c, lo[:k] + lo[k + 1:], hi[:k] + hi[k + 1:], rng, tol)
+        x = _seidel(sub_A, sub_b, sub_c, lo[:k] + lo[k + 1:], hi[:k] + hi[k + 1:], rng, tol,
+                    counts)
         if x is None:
             return None
         x.insert(k, beta - sum(map(mul, alpha, x)))
@@ -200,16 +218,99 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     return x
 
 
+def _seidel_plane(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+                  tol: float, counts: list):
+    """:func:`_seidel` on two variables, its one-variable subproblems solved
+    in place: on a violation one loop eliminates the pivot and intersects
+    the half-lines, building no rows and calling no :func:`_solve_interval`.
+    Each operation is the one those two would do, in the same order, so
+    every decision and every bit of the answer is theirs.
+    """
+    # normalized rows (u, v) . x <= w, then the box as four rows
+    # x_0 <= hi_0, -x_0 <= -lo_0, x_1 <= hi_1, -x_1 <= -lo_1, which the
+    # elimination turns into exactly the two box rows of _seidel
+    u, v, w = [], [], []
+    for (a0, a1), rhs in zip(A, b):
+        norm = math.hypot(a0, a1)
+        if norm <= 1e-13:
+            if rhs < -tol:
+                return None  # 0 . x <= negative: inconsistent
+            continue  # vacuous row
+        u.append(a0 / norm)
+        v.append(a1 / norm)
+        w.append(rhs / norm)
+    n = len(w)
+    u += [1.0, -1.0, 0.0, 0.0]
+    v += [0.0, 0.0, 1.0, -1.0]
+    w += [hi[0], -lo[0], hi[1], -lo[1]]
+
+    tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]))
+    x0, x1 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
+              for cj, l, h in zip(c, lo, hi)]
+    x_slack = 1e-12 * (1 + max(abs(x0), abs(x1)))
+
+    order = rng.permutation(n).tolist()
+    for position, i in enumerate(order):
+        rhs = w[i]
+        slack = tol * (1 + abs(rhs)) + x_slack
+        # no 0 start here: it only changes the sign of a zero, which no
+        # comparison sees
+        if u[i] * x0 + v[i] * x1 <= rhs + slack:
+            continue
+        counts[1] += 1
+        # x_k = beta - a x_j, k the first largest coordinate of the row
+        if abs(u[i]) >= abs(v[i]):
+            k, col_k, col_j = 0, u, v
+        else:
+            k, col_k, col_j = 1, v, u
+        pivot = col_k[i]
+        a = col_j[i] / pivot
+        beta = rhs / pivot
+        c_j = c[1 - k] - c[k] * a
+        lo_j, hi_j = lo[1 - k], hi[1 - k]
+        # each earlier row, then the box on x_k, becomes s x_j <= r
+        for p in order[:position] + [n + 2 * k, n + 2 * k + 1]:
+            pk = col_k[p]
+            s = col_j[p] - pk * a
+            r = w[p] - pk * beta
+            if abs(s) <= 1e-13:
+                if r < -tol:
+                    return None
+            elif s > 0:
+                r /= s
+                if r < hi_j:  # min(hi_j, r), ties keeping hi_j
+                    hi_j = r
+            else:
+                r /= s
+                if r > lo_j:
+                    lo_j = r
+        if lo_j > hi_j + tol * (1 + abs(lo_j) + abs(hi_j)):
+            return None
+        if lo_j > hi_j:
+            lo_j = hi_j = 0.5 * (lo_j + hi_j)
+        if abs(c_j) <= TIE_TOL:
+            x_j = min(max(0.0, lo_j), hi_j)
+        elif c_j > 0:
+            x_j = lo_j
+        else:
+            x_j = hi_j
+        # _seidel's sum() starts at 0, which turns a -0.0 product into 0.0
+        x_k = beta - (0 + a * x_j)
+        x0, x1 = (x_k, x_j) if k == 0 else (x_j, x_k)
+        x_slack = 1e-12 * (1 + max(abs(x0), abs(x1)))
+    return [x0, x1]
+
+
 def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Generator,
-                      tol: float):
+                      tol: float, counts: list):
     """Solve min t s.t. G x + h <= t inside |x_j| <= box, |t| <= box.
 
-    Returns (x, t, box_active).
+    Returns (x, t, box_active); ``counts`` is :func:`_seidel`'s.
     """
     d = prob.d
     A = [row + [-1.0] for row in prob.G.tolist()]
     c = [0.0] * d + [1.0]
-    z = _seidel(A, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol)
+    z = _seidel(A, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol, counts)
     if z is None:
         raise SolverError(
             "incremental solve hit an inconsistent subsystem; retry with a different seed"
@@ -237,25 +338,25 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
     rng = np.random.default_rng(seed)
     scale = 1.0 + float(np.abs(prob.h).max()) + float(np.linalg.norm(prob.G, axis=1).max())
     box = BOX_FACTOR * scale
-    x, t, box_active = _epigraph_minimum(prob, box, rng, tolerance)
+    counts = [0] * (prob.d + 2)
+    status = MinMaxStatus.MINIMIZED
+    x, t, box_active = _epigraph_minimum(prob, box, rng, tolerance, counts)
     if box_active:
-        x2, t2, box_active2 = _epigraph_minimum(prob, 2 * box, rng, tolerance)
+        x2, t2, box_active2 = _epigraph_minimum(prob, 2 * box, rng, tolerance, counts)
         if box_active2 and t2 < t - tolerance * (1 + abs(t)):
-            value, _ = evaluate(prob, x2)
-            return MinMaxResult(
-                status=MinMaxStatus.UNBOUNDED_BELOW,
-                x_star=x2,
-                value=value,
-                active_set=_active_set(prob, x2, value),
-            )
-        if t2 <= t:
+            status, x = MinMaxStatus.UNBOUNDED_BELOW, x2
+        elif t2 <= t:
             x, t = x2, t2
-    value, _ = evaluate(prob, x)
+    # the value and the active set come from one evaluation of every piece
+    values = prob.G @ x + prob.h
+    value = float(values[int(np.argmax(values))])
     return MinMaxResult(
-        status=MinMaxStatus.MINIMIZED,
+        status=status,
         x_star=x,
         value=value,
-        active_set=_active_set(prob, x, value),
+        active_set=_active_pieces(values, value),
+        stats={"subproblems": {k: counts[k] for k in range(1, len(counts))},
+               "box_doublings": int(box_active)},
     )
 
 

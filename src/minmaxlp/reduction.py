@@ -29,6 +29,7 @@ from .minmax import (
 from .model import LinearProgram, Sense, Solution, SolutionStatus, validate
 from .transforms import (
     EPS_STRICT,
+    HouseholderRotation,
     ProblemTransform,
     make_origin_strictly_feasible,
     recover_solution,
@@ -208,10 +209,14 @@ def check_interior(
 def prepare(lp: LinearProgram, p0: np.ndarray) -> tuple[SupportPlaneProblem, ProblemTransform]:
     """Reduce ``lp`` to its support-plane problem around the interior point
     ``p0``: flip a minimize objective, translate ``p0`` to the origin, rotate
-    the objective onto the last axis and dualize the constraints.  The
-    transform maps the reduced coordinates back to the original ones."""
+    the objective onto the last axis and dualize the constraints.  An
+    all-zero objective has no direction to rotate, so it is left unrotated.
+    The transform maps the reduced coordinates back to the original ones."""
     translated, translation = make_origin_strictly_feasible(lp, p0)
-    rotation = rotation_to_last_axis(lp.c if lp.sense is Sense.MAXIMIZE else -lp.c)
+    if lp.c.any():
+        rotation = rotation_to_last_axis(lp.c if lp.sense is Sense.MAXIMIZE else -lp.c)
+    else:
+        rotation = HouseholderRotation(lp.dimension, u_hat=None)
     spp = build_support_problem(dual_constraint_points(rotate_problem(translated, rotation)))
     return spp, ProblemTransform(rotation=rotation, translation=translation)
 

@@ -13,7 +13,7 @@ import pytest
 import minmaxlp
 from minmaxlp.cli import main
 from minmaxlp.model import LinearProgram, save_lp
-from minmaxlp.reduction import prepare
+from minmaxlp.reduction import check_interior, prepare
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -188,6 +188,25 @@ class TestReduce:
             assert dumps[sense]["h"] == prob.h.tolist()
         # minimizing c is maximizing -c
         assert dumps["minimize"] == dumps["maximize"]
+
+    def test_support_stage_of_a_zero_objective(self, tmp_path):
+        # no direction to rotate: the constraints are dualized unrotated,
+        # as solve, which answers optimal on such a program, would need
+        lp = LinearProgram(
+            dimension=2,
+            A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+            b=[1.0, 1.0, 1.0, 1.0],
+            c=[0.0, 0.0],
+        )
+        program = tmp_path / "zero.json"
+        program.write_bytes(save_lp(lp))
+        code, payload = run_cli(tmp_path, "reduce", "--input", str(program))
+        assert code == 0
+        doc = json.loads(payload)
+        prob = prepare(lp, check_interior(lp))[0].minmax
+        assert doc["G"] == prob.G.tolist()
+        assert doc["h"] == prob.h.tolist()
+        assert run_cli(tmp_path, "solve", "--input", str(program))[0] == 0
 
     def test_three_dimensional_support(self, tmp_path):
         code, payload = run_cli(tmp_path, "reduce", "--input", str(DATA / "tilted.json"))

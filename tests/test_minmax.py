@@ -1,14 +1,19 @@
 """Min-max solver tests: pinned small cases, oracle cross-checks, optimality
 certificates, determinism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import seidel_list_reference
 import seidel_reference
 import subgradient_reference
 from bruteforce import reference_minmax
+from minmaxlp import minmax
 from minmaxlp.errors import DimensionCapError, SolverError
 from minmaxlp.minmax import (
+    TIE_TOL,
     MinMaxStatus,
     PiecewiseMaxProblem,
     SubgradientParams,
@@ -154,6 +159,45 @@ class TestSolveExact:
             if base.status is MinMaxStatus.MINIMIZED:
                 assert shuffled.value == pytest.approx(base.value, abs=1e-9 * (1 + abs(base.value)))
 
+    def test_stats_count_subproblems_like_the_list_reference(self, monkeypatch):
+        """stats counts the subproblems per number of variables, inlined
+        ones included, exactly as the list version's calls; equal seeds
+        give equal stats, and the answer is the list version's bit for bit."""
+        calls = Counter()
+        original = seidel_list_reference._seidel
+
+        def counting(A, b, c, lo, hi, rng, tol, counts=None):
+            calls[len(c)] += 1
+            return original(A, b, c, lo, hi, rng, tol)
+
+        rng = np.random.default_rng(28)
+        for trial in range(40):
+            d = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 4 * d + 4))
+            prob = PiecewiseMaxProblem(rng.standard_normal((m, d)), rng.standard_normal(m))
+            got = solve_exact(prob, seed=trial)
+            assert solve_exact(prob, seed=trial).stats == got.stats
+            # one top-level subproblem per epigraph solve
+            assert got.stats["subproblems"][d + 1] == 1 + got.stats["box_doublings"]
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(seidel_list_reference, "_seidel", counting)
+                patch.setattr(minmax, "_seidel", counting)
+                want = solve_exact(prob, seed=trial)
+            assert got.stats["subproblems"] == {k: calls[k] for k in range(1, d + 2)}
+            assert got.x_star.tobytes() == want.x_star.tobytes()
+            assert got.status is want.status and got.value == want.value
+
+    def test_stats_count_a_box_doubling(self):
+        bounded = solve_exact(v_problem(-3.0, -1.0), seed=0)
+        assert bounded.stats["box_doublings"] == 0
+        assert bounded.stats["subproblems"][2] == 1
+        # unbounded below: the optimum presses on the box, which doubles once
+        result = solve_exact(PiecewiseMaxProblem(G=[[1.0, 0.0]], h=[0.0]), seed=0)
+        assert result.status is MinMaxStatus.UNBOUNDED_BELOW
+        assert result.stats["box_doublings"] == 1
+        assert result.stats["subproblems"][3] == 2
+
 
 def _epigraph_instance(rng):
     """min t s.t. G x - t <= -h in a box, with 1-6 variables and 1-40 rows,
@@ -211,6 +255,96 @@ def test_seidel_matches_numpy_reference():
         assert np.abs(got - want).max() <= 1e-9 * (1.0 + np.abs(want).max()), trial
         solved += 1
     assert solved >= 150 and inconsistent >= 5
+
+
+def _general_instance(rng):
+    """min c . x over A x <= b in a box, with 2-6 variables and 1-30 rows
+    through or near a planted point.  Entries are often in {-1, 0, 1}
+    (equal pivots, zero reduced costs) with the point at the origin (zero
+    right-hand sides, hence -0.0 products).  Some rows come with an opposite
+    row whose slab is a line, empty by less than the tolerance or empty by
+    more (vacuous rows one level down, lo > hi within tolerance, and
+    inconsistent subproblems), some are rescaled by 1e-3 to 1e3, and a small
+    box cuts off part of the region."""
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 31))
+    if rng.random() < 0.5:
+        A = rng.integers(-1, 2, (m, n)).astype(float)
+        c = rng.integers(-1, 2, n).astype(float)
+        point = np.zeros(n)
+    else:
+        A = rng.standard_normal((m, n))
+        c = rng.standard_normal(n)
+        point = rng.standard_normal(n)
+    b = A @ point + rng.choice([0.0, 0.5], m) * rng.random(m)
+    paired = rng.integers(m, size=int(rng.integers(0, m // 2 + 1)))
+    gap = rng.choice([0.0, 1e-12, 1e-3], paired.size) * rng.choice([1.0, -1.0], paired.size)
+    A = np.vstack([A, -A[paired]])
+    b = np.concatenate([b, gap - b[paired]])
+    if rng.random() < 0.3:
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, b.size)
+        A, b = A * scale[:, None], b * scale
+    box = float(rng.choice([2.0, 1e6]))
+    return A, b, c, np.full(n, -box), np.full(n, box)
+
+
+def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
+    """The two-variable level solves its one-variable subproblems in place
+    with the list version's arithmetic: same verdict, same random draws and
+    the same bits in every answer, on instances that reach each special
+    case of the one-variable step."""
+    seen = Counter()
+    interval = seidel_list_reference._solve_interval
+
+    def recording(A, b, c0, lo, hi, tol):
+        vacuous = [rhs < -tol for (a,), rhs in zip(A, b) if abs(a) <= 1e-13]
+        seen["vacuous row kept"] += vacuous.count(False)
+        seen["vacuous row inconsistent"] += vacuous.count(True)
+        seen["zero reduced cost"] += abs(c0) <= TIE_TOL
+        # the box on the eliminated coordinate comes last, scaled by
+        # a = row_j / row_k: +-1 when both had the same magnitude
+        seen["equal pivots"] += abs(A[-1][0]) == 1.0
+        if not any(vacuous):
+            low = max([lo] + [rhs / a for (a,), rhs in zip(A, b) if a < -1e-13])
+            high = min([hi] + [rhs / a for (a,), rhs in zip(A, b) if a > 1e-13])
+            seen["lo > hi within tolerance"] += high < low <= high + tol * (
+                1 + abs(low) + abs(high))
+        return interval(A, b, c0, lo, hi, tol)
+
+    monkeypatch.setattr(seidel_list_reference, "_solve_interval", recording)
+
+    def same_answer(args, seed):
+        rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = seidel_list_reference._seidel(*args, rng_want, 1e-9)
+        got = _seidel(*args, rng_got, 1e-9)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state, seed
+        assert (got is None) == (want is None), seed
+        if want is not None:
+            assert np.array(got).tobytes() == np.array(want).tobytes(), seed
+        return want is not None
+
+    # two bounds 0.0 and -0.0 on x_1: the first one visited stays, as
+    # min() and max() keep it, and is the answer's x_1
+    for sign in (1.0, -1.0):
+        args = ([[1.0, sign], [1.0, sign], [-1.0, 0.0]], [-0.0, 0.0, -0.0], [1.0, -sign],
+                [-2.0, -2.0], [2.0, 2.0])
+        for seed in range(6):
+            assert same_answer(args, seed)
+
+    rng = np.random.default_rng(31)
+    solved = inconsistent = 0
+    for trial in range(300):
+        make = _general_instance if trial % 2 else _epigraph_instance
+        A, b, c, lo, hi = make(rng)
+        if c.size == 1:
+            continue
+        if same_answer((A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial):
+            solved += 1
+        else:
+            inconsistent += 1
+    assert solved + inconsistent >= 200
+    assert solved >= 150 and inconsistent >= 10
+    assert min(seen.values()) >= 5 and len(seen) == 5, seen
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
