@@ -14,6 +14,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -62,10 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--solver", choices=("exact", "subgradient"), default="exact")
-        p.add_argument(
-            "--interior-point",
-            help='known strict interior point as "v1,v2,..."',
-        )
+        if name != "phase1":
+            p.add_argument(
+                "--interior-point",
+                help='known strict interior point as "v1,v2,..."',
+            )
         if name == "reduce":
             p.add_argument("--stage", choices=("phase1", "support"), default="support")
     return parser
@@ -84,12 +86,7 @@ def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
     """Execute one parsed command line against a program document; returns
     the exit code and the bytes destined for the output stream."""
     lp = load_lp(text)
-    point = _parse_point(args.interior_point)
     options = SolveOptions(seed=args.seed, tolerance=args.tolerance, solver=args.solver)
-
-    if args.command == "solve":
-        sol = solve(lp, interior_hint=point, options=options)
-        return _STATUS_EXIT[sol.status], save_solution(sol)
 
     if args.command == "phase1":
         res = phase1(lp, options)
@@ -101,6 +98,11 @@ def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
         code = EXIT_OK if res.status is PhaseOneStatus.STRICT_INTERIOR else EXIT_INFEASIBLE
         return code, _dumps(doc)
 
+    point = _parse_point(args.interior_point)
+    if args.command == "solve":
+        sol = solve(lp, interior_hint=point, options=options)
+        return _STATUS_EXIT[sol.status], save_solution(sol)
+
     if args.command == "reduce":
         if args.stage == "phase1":
             prob = PiecewiseMaxProblem(G=lp.A, h=-lp.b)
@@ -109,7 +111,7 @@ def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
             if isinstance(p0, SolutionStatus):
                 print(f"no usable interior point: {p0.value}", file=sys.stderr)
                 return _STATUS_EXIT[p0], b""
-            prob = prepare(lp, p0)[0].minmax
+            prob = prepare(lp, p0)[0]
         return EXIT_OK, _dumps({"G": prob.G.tolist(), "h": prob.h.tolist(), "stage": args.stage})
 
     if args.command == "viz":
@@ -124,8 +126,10 @@ def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if not args.tolerance > 0:
-            raise LPError("--tolerance must be positive")
+        if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
+            raise LPError("--tolerance must be positive and finite")
+        if args.seed < 0:
+            raise LPError("--seed must be non-negative")
         with open(args.input, "rb") as f:
             text = f.read()
         code, payload = run(args, text)

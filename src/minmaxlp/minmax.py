@@ -364,12 +364,6 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
 # iterative backend: Polyak steps toward a descending target level
 
 
-@dataclass(frozen=True)
-class SubgradientParams:
-    tolerance: float = 1e-7
-    x0: np.ndarray | None = None
-
-
 # subgradient steps before the best point so far is returned unconverged
 MAX_ITERS = 20000
 
@@ -380,9 +374,8 @@ LEVEL_PATIENCE = 400
 UNBOUNDED_VALUE = -1e12
 
 
-def solve_subgradient(prob: PiecewiseMaxProblem,
-                      params: SubgradientParams | None = None) -> MinMaxResult:
-    """Approximate minimization by subgradient steps.
+def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> MinMaxResult:
+    """Approximate minimization by subgradient steps from the origin.
 
     Each step moves against the gradient of the currently maximal piece with
     the Polyak step length for the target ``f_best - delta``; when a level
@@ -398,11 +391,7 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
     the same as with fresh arrays.  ``x_best`` is always a copy, never the
     buffer that the step updates.
     """
-    params = params or SubgradientParams()
-    x = np.zeros(prob.d) if params.x0 is None else np.array(params.x0, dtype=float)
-    if x.shape != (prob.d,):
-        raise SolverError(f"x0 must have length {prob.d}")
-
+    x = np.zeros(prob.d)
     f_best, _ = evaluate(prob, x)
     x_best = x.copy()
 
@@ -468,7 +457,7 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
             stalled = 0
             streak = 0
             level_best = f_best
-        if delta <= 0.25 * params.tolerance * (1.0 + abs(f_best)):
+        if delta <= 0.25 * tolerance * (1.0 + abs(f_best)):
             converged = True
             break
 

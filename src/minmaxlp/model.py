@@ -81,29 +81,20 @@ class Solution:
             object.__setattr__(self, "interior_point", _readonly(self.interior_point))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = ()
+def validate(lp: LinearProgram) -> tuple[str, ...]:
+    """Check the structural invariants of ``lp`` and return every violation.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(lp: LinearProgram) -> ValidationReport:
-    """Check the structural invariants of ``lp`` and report every violation.
-
-    Never raises; an empty report means the program is well-formed.
+    Never raises; an empty tuple means the program is well-formed.
     """
     problems: list[str] = []
     if not isinstance(lp.dimension, int) or isinstance(lp.dimension, bool):
         problems.append("dimension: must be an integer")
-        return ValidationReport(tuple(problems))
+        return tuple(problems)
     if lp.dimension < 2:
         problems.append("dimension: must be at least 2")
     if lp.A.ndim != 2:
         problems.append("A: must be a two-dimensional matrix")
-        return ValidationReport(tuple(problems))
+        return tuple(problems)
     n = lp.A.shape[0]
     if n < 1:
         problems.append("A: must have at least one row")
@@ -118,7 +109,7 @@ def validate(lp: LinearProgram) -> ValidationReport:
     for label, arr in (("A", lp.A), ("b", lp.b), ("objective", lp.c)):
         if arr.size and not np.isfinite(arr).all():
             problems.append(f"{label}: entries must be finite")
-    return ValidationReport(tuple(problems))
+    return tuple(problems)
 
 
 def _require_number(value, where: str) -> float:
@@ -189,9 +180,9 @@ def load_lp(text: bytes | str) -> LinearProgram:
         raise LoadError("name: expected a string")
 
     lp = LinearProgram(dimension=dimension, A=rows, b=b, c=c, sense=sense, name=name)
-    report = validate(lp)
-    if not report.ok:
-        raise LoadError("; ".join(report.violations))
+    violations = validate(lp)
+    if violations:
+        raise LoadError("; ".join(violations))
     return lp
 
 

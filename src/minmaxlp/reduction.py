@@ -21,7 +21,6 @@ from .minmax import (
     MinMaxResult,
     MinMaxStatus,
     PiecewiseMaxProblem,
-    SubgradientParams,
     evaluate,
     solve_exact,
     solve_subgradient,
@@ -59,16 +58,6 @@ class PhaseOneResult:
     margin: float | None
 
 
-@dataclass(frozen=True, eq=False)
-class SupportPlaneProblem:
-    """Dualized constraints plus the min-max instance that finds their best
-    lower supporting plane z = w . x' + t (one piece w . q' - q_z per dual
-    point q; the optimal value is -t*)."""
-
-    duals: np.ndarray
-    minmax: PiecewiseMaxProblem
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     seed: int = 0
@@ -80,7 +69,7 @@ def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResul
     if options.solver == "exact":
         return solve_exact(prob, seed=options.seed, tolerance=options.tolerance)
     if options.solver == "subgradient":
-        return solve_subgradient(prob, SubgradientParams(tolerance=options.tolerance))
+        return solve_subgradient(prob, tolerance=options.tolerance)
     raise ReductionError(f"unknown solver {options.solver!r}")
 
 
@@ -122,29 +111,27 @@ def dual_constraint_points(lp: LinearProgram) -> np.ndarray:
     return duals
 
 
-def build_support_problem(duals: np.ndarray) -> SupportPlaneProblem:
+def build_support_problem(duals: np.ndarray) -> PiecewiseMaxProblem:
     """Encode "support the dual points from below with maximal intercept".
 
     For a plane z = w . x' + t to sit below every dual point q we need
     t <= q_z - w . q'; the best intercept for a slope w is therefore
     min_q (q_z - w . q'), and maximizing it over w is the min-max instance
-    minimize over w of max_q (w . q' - q_z).
+    minimize over w of max_q (w . q' - q_z), one piece per dual point.  Its
+    optimal value is -t*.
     """
     duals = np.asarray(duals, dtype=float)
     if duals.ndim != 2 or duals.shape[0] < 1:
         raise ReductionError("need at least one dual point")
     if duals.shape[1] < 2:
         raise ReductionError("dual points must have at least two coordinates")
-    return SupportPlaneProblem(
-        duals=duals,
-        minmax=PiecewiseMaxProblem(G=duals[:, :-1], h=-duals[:, -1]),
-    )
+    return PiecewiseMaxProblem(G=duals[:, :-1], h=-duals[:, -1])
 
 
 def classify_and_recover(
-    spp: SupportPlaneProblem, result: MinMaxResult, eps_unbounded: float = EPS_UNBOUNDED
+    prob: PiecewiseMaxProblem, result: MinMaxResult, eps_unbounded: float = EPS_UNBOUNDED
 ) -> tuple[SolutionStatus, np.ndarray | None]:
-    """Read the LP outcome off the min-max result.
+    """Read the LP outcome off the result of the support problem ``prob``.
 
     The optimal intercept is t* = -value.  An intercept at (or numerically
     indistinguishable from) zero means feasible planes exist with arbitrarily
@@ -156,7 +143,7 @@ def classify_and_recover(
         return SolutionStatus.UNBOUNDED, None
     if result.x_star is None or result.value is None:
         raise ReductionError("min-max result carries no minimizer")
-    check, _ = evaluate(spp.minmax, result.x_star)
+    check, _ = evaluate(prob, result.x_star)
     if abs(check - result.value) > 1e-6 * (1 + abs(check)):
         raise ReductionError("min-max result does not certify against this problem")
     t_star = -float(result.value)
@@ -191,7 +178,7 @@ def check_interior(
     otherwise the phase-1 witness.  When there is none, the status that ends
     the solve: ``INPUT_ERROR`` (malformed program or hint),
     ``ORIGIN_NOT_INTERIOR`` (hint not strictly inside) or ``INFEASIBLE``."""
-    if not validate(lp).ok:
+    if validate(lp):
         return SolutionStatus.INPUT_ERROR
     if hint is None:
         ph = phase1(lp, options)
@@ -206,19 +193,19 @@ def check_interior(
     return p0
 
 
-def prepare(lp: LinearProgram, p0: np.ndarray) -> tuple[SupportPlaneProblem, ProblemTransform]:
+def prepare(lp: LinearProgram, p0: np.ndarray) -> tuple[PiecewiseMaxProblem, ProblemTransform]:
     """Reduce ``lp`` to its support-plane problem around the interior point
     ``p0``: flip a minimize objective, translate ``p0`` to the origin, rotate
     the objective onto the last axis and dualize the constraints.  An
     all-zero objective has no direction to rotate, so it is left unrotated.
     The transform maps the reduced coordinates back to the original ones."""
-    translated, translation = make_origin_strictly_feasible(lp, p0)
+    translated = make_origin_strictly_feasible(lp, p0)
     if lp.c.any():
         rotation = rotation_to_last_axis(lp.c if lp.sense is Sense.MAXIMIZE else -lp.c)
     else:
         rotation = HouseholderRotation(lp.dimension, u_hat=None)
-    spp = build_support_problem(dual_constraint_points(rotate_problem(translated, rotation)))
-    return spp, ProblemTransform(rotation=rotation, translation=translation)
+    prob = build_support_problem(dual_constraint_points(rotate_problem(translated, rotation)))
+    return prob, ProblemTransform(rotation=rotation, p0=p0)
 
 
 def solve(
@@ -226,8 +213,10 @@ def solve(
     interior_hint: np.ndarray | None = None,
     options: SolveOptions | None = None,
 ) -> Solution:
-    """Solve the LP end to end; statuses cover every outcome, so this only
-    raises on configuration problems (unknown solver, dimension cap)."""
+    """Solve the LP end to end; the status carries the outcome.  Raises on
+    configuration problems (unknown solver, dimension cap) and, a known
+    defect, with :class:`SolverError` ("inconsistent subsystem") on some
+    programs whose rows are rescaled by large factors."""
     options = options or SolveOptions()
     p0 = check_interior(lp, interior_hint, options)
     if isinstance(p0, SolutionStatus):
@@ -243,9 +232,9 @@ def solve(
             interior_point=p0,
         )
 
-    spp, transform = prepare(lp, p0)
-    result = _run_minmax(spp.minmax, options)
-    status, dual_point = classify_and_recover(spp, result, eps_unbounded=options.tolerance)
+    prob, transform = prepare(lp, p0)
+    result = _run_minmax(prob, options)
+    status, dual_point = classify_and_recover(prob, result, eps_unbounded=options.tolerance)
     if status is SolutionStatus.UNBOUNDED:
         return Solution(status=SolutionStatus.UNBOUNDED, interior_point=p0)
 

@@ -14,25 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TransformError
-from .model import LinearProgram
+from .model import LinearProgram, _readonly
 
 # how far inside every constraint a point must sit to count as interior
 EPS_STRICT = 1e-9
 
 # below this, the objective is already aligned with e_d and no reflection runs
 EPS_IDENTITY = 1e-14
-
-
-@dataclass(frozen=True, eq=False)
-class Translation:
-    """Shift that takes ``p0`` to the origin: y = x - p0."""
-
-    p0: np.ndarray
-
-    def __post_init__(self) -> None:
-        p0 = np.array(self.p0, dtype=float)
-        p0.setflags(write=False)
-        object.__setattr__(self, "p0", p0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +53,7 @@ class HouseholderRotation:
         return R
 
 
-def make_origin_strictly_feasible(
-    lp: LinearProgram, p0: np.ndarray
-) -> tuple[LinearProgram, Translation]:
+def make_origin_strictly_feasible(lp: LinearProgram, p0: np.ndarray) -> LinearProgram:
     """Translate ``lp`` so that the interior point ``p0`` becomes the origin.
 
     The shifted program has b' = b - A p0, which is strictly positive; raises
@@ -86,7 +72,7 @@ def make_origin_strictly_feasible(
         raise TransformError(
             f"point is not strictly interior: row {row} has margin {margins[row]:.3e}"
         )
-    shifted = LinearProgram(
+    return LinearProgram(
         dimension=lp.dimension,
         A=lp.A,
         b=lp.b - lp.A @ p0,
@@ -94,7 +80,6 @@ def make_origin_strictly_feasible(
         sense=lp.sense,
         name=lp.name,
     )
-    return shifted, Translation(p0)
 
 
 def rotation_to_last_axis(c: np.ndarray) -> HouseholderRotation:
@@ -162,18 +147,17 @@ def rotate_problem(lp: LinearProgram, rotation: HouseholderRotation) -> LinearPr
 
 @dataclass(frozen=True, eq=False)
 class ProblemTransform:
-    """Composition used by the pipeline: translate, then rotate."""
+    """Composition used by the pipeline: translate ``p0`` to the origin, then
+    rotate; reduced coordinates are y = R (x - p0)."""
 
     rotation: HouseholderRotation
-    translation: Translation
+    p0: np.ndarray
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return apply_rotation(self.rotation, np.asarray(x, dtype=float) - self.translation.p0)
-
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        return apply_rotation(self.rotation, y, inverse=True) + self.translation.p0
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p0", _readonly(self.p0))
 
 
 def recover_solution(transform: ProblemTransform, y: np.ndarray) -> np.ndarray:
-    """Map a point found in reduced coordinates back to the original ones."""
-    return transform.inverse(np.asarray(y, dtype=float))
+    """Map a point found in reduced coordinates back to the original ones:
+    x = R^T y + p0."""
+    return apply_rotation(transform.rotation, y, inverse=True) + transform.p0

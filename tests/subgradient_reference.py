@@ -4,12 +4,11 @@ preallocated buffers.
 ``minmaxlp.minmax.solve_subgradient`` now fills reused arrays in place and
 calls no helper per step; this copy is kept unchanged so that
 ``tests/test_minmax.py`` can check that both produce bit-identical iterates.
-Call it as ``solve_subgradient(prob, params)`` like the library function.
+Call it as ``solve_subgradient(prob, tolerance)`` like the library function.
 """
 
 import numpy as np
 
-from minmaxlp.errors import SolverError
 from minmaxlp.minmax import (
     LEVEL_PATIENCE,
     MAX_ITERS,
@@ -17,15 +16,13 @@ from minmaxlp.minmax import (
     MinMaxResult,
     MinMaxStatus,
     PiecewiseMaxProblem,
-    SubgradientParams,
     _active_set,
     evaluate,
 )
 
 
-def solve_subgradient(prob: PiecewiseMaxProblem,
-                      params: SubgradientParams | None = None) -> MinMaxResult:
-    """Approximate minimization by subgradient steps.
+def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> MinMaxResult:
+    """Approximate minimization by subgradient steps from the origin.
 
     Each step moves against the gradient of the currently maximal piece with
     the Polyak step length for the target ``f_best - delta``; when a level
@@ -33,11 +30,7 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
     Always returns the best point seen, flagged ``converged`` once ``delta``
     shrinks below the requested tolerance.
     """
-    params = params or SubgradientParams()
-    x = np.zeros(prob.d) if params.x0 is None else np.array(params.x0, dtype=float)
-    if x.shape != (prob.d,):
-        raise SolverError(f"x0 must have length {prob.d}")
-
+    x = np.zeros(prob.d)
     f_best, _ = evaluate(prob, x)
     x_best = x.copy()
 
@@ -95,7 +88,7 @@ def solve_subgradient(prob: PiecewiseMaxProblem,
             stalled = 0
             streak = 0
             level_best = f_best
-        if delta <= 0.25 * params.tolerance * (1.0 + abs(f_best)):
+        if delta <= 0.25 * tolerance * (1.0 + abs(f_best)):
             converged = True
             break
 

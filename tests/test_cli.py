@@ -4,6 +4,7 @@ SVG element census."""
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -106,14 +107,15 @@ class TestSolve:
         code, payload = run_cli(tmp_path, "solve", "--input", str(bad))
         assert code == 4
 
-    def test_nonpositive_tolerance_is_an_input_error(self, tmp_path, capsys):
-        for flag in ("--tolerance=0", "--tolerance=-1e-9"):
+    def test_bad_tolerance_or_seed_is_an_input_error(self, tmp_path, capsys):
+        for flag in ("--tolerance=0", "--tolerance=-1e-9", "--tolerance=inf",
+                     "--tolerance=nan", "--seed=-1"):
             code, payload = run_cli(
                 tmp_path, "solve", "--input", str(DATA / "bounded.json"), flag
             )
-            assert code == 4
-            assert payload == b""
-        assert "tolerance" in capsys.readouterr().err
+            assert code == 4, flag
+            assert payload == b"", flag
+            assert flag.split("=")[0] in capsys.readouterr().err, flag
 
     def test_usage_errors_exit_4(self):
         with pytest.raises(SystemExit) as exc:
@@ -136,6 +138,13 @@ class TestPhase1Command:
         doc = json.loads(payload)
         assert doc["status"] == "no_strict_interior"
         assert abs(doc["margin"]) <= 1e-9
+
+    def test_interior_point_flag_is_rejected(self, tmp_path):
+        # phase1 searches for the point itself, so it takes no hint
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "phase1", "--input", str(DATA / "bounded.json"),
+                    "--interior-point", "9,9")
+        assert exc.value.code == 4
 
 
 class TestReduce:
@@ -183,7 +192,7 @@ class TestReduce:
             )
             assert code == 0
             dumps[sense] = json.loads(payload)
-            prob = prepare(lp, p0)[0].minmax
+            prob = prepare(lp, p0)[0]
             assert dumps[sense]["G"] == prob.G.tolist()
             assert dumps[sense]["h"] == prob.h.tolist()
         # minimizing c is maximizing -c
@@ -203,7 +212,7 @@ class TestReduce:
         code, payload = run_cli(tmp_path, "reduce", "--input", str(program))
         assert code == 0
         doc = json.loads(payload)
-        prob = prepare(lp, check_interior(lp))[0].minmax
+        prob = prepare(lp, check_interior(lp))[0]
         assert doc["G"] == prob.G.tolist()
         assert doc["h"] == prob.h.tolist()
         assert run_cli(tmp_path, "solve", "--input", str(program))[0] == 0
@@ -267,3 +276,15 @@ def test_importing_the_package_loads_no_scipy():
     # scipy is a test extra: the package itself must run without it
     code = "import minmaxlp, minmaxlp.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, cwd=Path(minmaxlp.__file__).parents[1])
+
+
+def test_export_list_is_what_the_package_binds():
+    names = minmaxlp.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(minmaxlp, name), name
+    public = {
+        name for name, value in vars(minmaxlp).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == public

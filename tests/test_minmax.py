@@ -16,7 +16,6 @@ from minmaxlp.minmax import (
     TIE_TOL,
     MinMaxStatus,
     PiecewiseMaxProblem,
-    SubgradientParams,
     _seidel,
     evaluate,
     solve_exact,
@@ -237,6 +236,10 @@ def test_seidel_matches_numpy_reference():
     """The float-list recursion takes the numpy version's decisions: same
     feasibility verdict, same random draws, and the optimum equal up to
     summation order."""
+    # Equal draws are not guaranteed in general: the two versions round
+    # differently, so a near-tie can send them down different permutations.
+    # Some instances further along this stream do (see the FOUND line on
+    # this test in CHANGES.md); these 200 happen to avoid them.
     rng = np.random.default_rng(27)
     solved = inconsistent = 0
     for trial in range(200):
@@ -426,10 +429,6 @@ class TestSolveSubgradient:
         assert result.value < -1e12
         assert not result.converged
 
-    def test_custom_start_point(self):
-        result = solve_subgradient(v_problem(), SubgradientParams(x0=np.array([10.0])))
-        assert result.value <= 1e-6
-
     def test_works_above_exact_cap(self):
         rng = np.random.default_rng(26)
         d = 15
@@ -442,8 +441,8 @@ class TestSolveSubgradient:
 
 def _polyak_instance(rng):
     """1-24 variables and 1-250 pieces in C or Fortran order, some with a
-    zeroed row, duplicated rows or rows rescaled by 1e-3 to 1e3; a start
-    point half of the time, and one of three tolerances."""
+    zeroed row, duplicated rows or rows rescaled by 1e-3 to 1e3, and one of
+    three tolerances."""
     d = int(rng.integers(1, 25))
     m = int(rng.integers(1, 251))
     G = rng.standard_normal((m, d))
@@ -460,28 +459,23 @@ def _polyak_instance(rng):
         G, h = G * scale[:, None], h * scale
     if rng.random() < 0.5:
         G = np.asfortranarray(G)
-    x0 = rng.standard_normal(d) if rng.random() < 0.5 else None
     tolerance = float(rng.choice([1e-4, 1e-7, 1e-9]))
-    return PiecewiseMaxProblem(G, h), SubgradientParams(tolerance=tolerance, x0=x0)
+    return PiecewiseMaxProblem(G, h), tolerance
 
 
 def test_subgradient_matches_reference():
     """The buffered Polyak loop does the reference's arithmetic step for
-    step: bit-identical results, and the caller's start point untouched."""
+    step: bit-identical results."""
     rng = np.random.default_rng(28)
     cases = [_polyak_instance(rng) for _ in range(200)]
     # runaway descent, and a constant piece that is the maximum (gg == 0)
-    cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [0.5, -2.0]], h=[0.0, 1.0]),
-                  SubgradientParams()))
+    cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [0.5, -2.0]], h=[0.0, 1.0]), 1e-7))
     cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], h=[0.0, 0.0, 5.0]),
-                  SubgradientParams(x0=np.array([0.5, 0.0]))))
+                  1e-7))
     outcomes = set()
-    for trial, (prob, params) in enumerate(cases):
-        x0 = None if params.x0 is None else params.x0.copy()
-        want = subgradient_reference.solve_subgradient(prob, params)
-        got = solve_subgradient(prob, params)
-        if x0 is not None:
-            assert params.x0.tobytes() == x0.tobytes(), trial
+    for trial, (prob, tolerance) in enumerate(cases):
+        want = subgradient_reference.solve_subgradient(prob, tolerance)
+        got = solve_subgradient(prob, tolerance)
         assert got.status is want.status, trial
         assert got.value == want.value, trial
         assert got.converged == want.converged, trial

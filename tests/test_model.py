@@ -31,30 +31,29 @@ def square_lp():
 
 class TestValidate:
     def test_well_formed(self):
-        assert validate(square_lp()).ok
+        assert validate(square_lp()) == ()
 
     def test_row_count_mismatch(self):
         lp = LinearProgram(dimension=2, A=[[1, 0], [0, 1], [1, 1]], b=[1, 2], c=[1, 1])
-        report = validate(lp)
-        assert not report.ok
-        assert any(v.startswith("b:") for v in report.violations)
+        violations = validate(lp)
+        assert violations
+        assert any(v.startswith("b:") for v in violations)
 
     def test_dimension_one_rejected(self):
         lp = LinearProgram(dimension=1, A=[[1]], b=[1], c=[1])
-        assert any("at least 2" in v for v in validate(lp).violations)
+        assert any("at least 2" in v for v in validate(lp))
 
     def test_column_mismatch(self):
         lp = LinearProgram(dimension=3, A=[[1, 0], [0, 1]], b=[1, 1], c=[1, 1, 1])
-        assert any(v.startswith("A:") for v in validate(lp).violations)
+        assert any(v.startswith("A:") for v in validate(lp))
 
     def test_nonfinite_entry(self):
         lp = LinearProgram(dimension=2, A=[[1, 0], [0, np.inf]], b=[1, 1], c=[1, 1])
-        assert any("finite" in v for v in validate(lp).violations)
+        assert any("finite" in v for v in validate(lp))
 
     def test_reports_every_violation(self):
         lp = LinearProgram(dimension=1, A=[[1, 2]], b=[1, 2], c=[np.nan])
-        report = validate(lp)
-        assert len(report.violations) >= 3
+        assert len(validate(lp)) >= 3
 
 
 class TestLoadLP:

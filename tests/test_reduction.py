@@ -106,9 +106,9 @@ class TestDualPoints:
 
 class TestSupportProblem:
     def test_pieces_split_slope_and_height(self):
-        spp = build_support_problem(dual_constraint_points(ROOF))
-        np.testing.assert_allclose(spp.minmax.G, [[0.0], [-0.5], [0.5], [0.0]])
-        np.testing.assert_allclose(spp.minmax.h, [1.0, 0.5, 0.5, -1.0])
+        prob = build_support_problem(dual_constraint_points(ROOF))
+        np.testing.assert_allclose(prob.G, [[0.0], [-0.5], [0.5], [0.0]])
+        np.testing.assert_allclose(prob.h, [1.0, 0.5, 0.5, -1.0])
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ReductionError):
@@ -117,24 +117,24 @@ class TestSupportProblem:
             build_support_problem(np.array([[1.0], [2.0]]))
 
     def test_roof_intercept_and_recovery(self):
-        spp = build_support_problem(dual_constraint_points(ROOF))
-        result = solve_exact(spp.minmax, seed=0)
+        prob = build_support_problem(dual_constraint_points(ROOF))
+        result = solve_exact(prob, seed=0)
         assert result.value == pytest.approx(1.0, abs=1e-9)  # t* = -1
-        status, point = classify_and_recover(spp, result)
+        status, point = classify_and_recover(prob, result)
         assert status is SolutionStatus.OPTIMAL
         np.testing.assert_allclose(point, [0.0, 1.0], atol=1e-9)
 
     def test_near_zero_intercept_means_unbounded(self):
         # ceiling at y <= 1 gives a single constant piece of height 1
         duals = np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
-        spp = build_support_problem(duals)
-        result = solve_exact(spp.minmax, seed=0)
-        status, point = classify_and_recover(spp, result)
+        prob = build_support_problem(duals)
+        result = solve_exact(prob, seed=0)
+        status, point = classify_and_recover(prob, result)
         assert status is SolutionStatus.UNBOUNDED
         assert point is None
 
     def test_result_must_certify(self):
-        spp = build_support_problem(dual_constraint_points(ROOF))
+        prob = build_support_problem(dual_constraint_points(ROOF))
         fake = MinMaxResult(
             status=MinMaxStatus.MINIMIZED,
             x_star=np.zeros(1),
@@ -142,22 +142,22 @@ class TestSupportProblem:
             active_set=(0,),
         )
         with pytest.raises(ReductionError, match="certify"):
-            classify_and_recover(spp, fake)
+            classify_and_recover(prob, fake)
 
     def test_supports_from_below_and_touches(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             lp, _ = bounded_lp(rng)
             ph = phase1(lp)
-            translated, _ = make_origin_strictly_feasible(lp, ph.p0)
+            translated = make_origin_strictly_feasible(lp, ph.p0)
             rotated = rotate_problem(translated, rotation_to_last_axis(lp.c))
             duals = dual_constraint_points(rotated)
-            spp = build_support_problem(duals)
-            result = solve_exact(spp.minmax, seed=3)
+            prob = build_support_problem(duals)
+            result = solve_exact(prob, seed=3)
             if result.status is not MinMaxStatus.MINIMIZED:
                 continue
             t_star = -result.value
-            pieces = spp.minmax.G @ result.x_star + spp.minmax.h  # w . q' - q_z
+            pieces = prob.G @ result.x_star + prob.h  # w . q' - q_z
             assert (pieces <= result.value + 1e-9).all()
             assert pieces.max() >= result.value - 1e-7  # some point is touched
             plane = Plane(np.append(result.x_star, -1.0), -t_star)  # w . x' - z = -t
@@ -326,9 +326,9 @@ class TestSubgradientBackend:
     def test_tolerance_reaches_the_backend(self, monkeypatch):
         received = []
 
-        def recorded(prob, params):
-            received.append(params)
-            return solve_subgradient(prob, params)
+        def recorded(prob, tolerance):
+            received.append(tolerance)
+            return solve_subgradient(prob, tolerance)
 
         monkeypatch.setattr(reduction, "solve_subgradient", recorded)
         lp, _ = bounded_lp(np.random.default_rng(29), d=4, n=40)
@@ -336,7 +336,7 @@ class TestSubgradientBackend:
             received.clear()
             sol = solve(lp, options=SolveOptions(solver="subgradient", tolerance=tolerance))
             assert sol.status is SolutionStatus.OPTIMAL
-            assert received and all(params.tolerance == tolerance for params in received)
+            assert received and all(got == tolerance for got in received)
 
     def test_open_corridor(self):
         lp = LinearProgram(
