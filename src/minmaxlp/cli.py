@@ -7,13 +7,20 @@ runs the full pipeline, `phase1` only searches for a strict interior point,
 
 Exit codes double as the classification: 0 solved or succeeded, 2 unbounded,
 3 no feasible answer (infeasible program, empty interior, or a rejected
-interior point), 4 unusable input.  Output is byte deterministic for a fixed
-seed.
+interior point), 4 unusable input, which includes an unreadable or non-UTF-8
+`--input` and an unwritable `--output`.  Output is byte deterministic for a
+fixed seed.
+
+Run it as the installed `minmaxlp` script, as `python -m minmaxlp`, or
+in-process through `main(argv)`, which may be called any number of times: the
+argument parser is built once per process and reused, since every parse
+starts from a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -48,6 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minmaxlp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,14 +141,17 @@ def main(argv=None) -> int:
         with open(args.input, "rb") as f:
             text = f.read()
         code, payload = run(args, text)
+        if payload and args.output is not None:
+            with open(args.output, "wb") as f:
+                f.write(payload)
     except (OSError, LPError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
 
-    if payload:
-        if args.output is not None:
-            with open(args.output, "wb") as f:
-                f.write(payload)
-        else:
-            sys.stdout.write(payload.decode("utf-8"))
+    if payload and args.output is None:
+        sys.stdout.write(payload.decode("utf-8"))
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

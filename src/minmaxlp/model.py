@@ -126,18 +126,26 @@ def _require_vector(value, where: str) -> list[float]:
     return [_require_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _parse_json(text: bytes | str):
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"not UTF-8 text: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"invalid JSON: {exc}") from exc
+
+
 def load_lp(text: bytes | str) -> LinearProgram:
     """Parse the LP JSON format into a validated :class:`LinearProgram`.
 
-    Raises :class:`LoadError` naming the offending field on malformed JSON,
-    missing fields, non-numeric entries, or shape mismatches.
+    Raises :class:`LoadError` naming the offending field on bytes that are
+    not UTF-8, malformed JSON, missing fields, non-numeric entries, or shape
+    mismatches.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"invalid JSON: {exc}") from exc
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise LoadError("top level: expected a JSON object")
 
@@ -219,12 +227,7 @@ def save_solution(sol: Solution) -> bytes:
 
 def load_solution(text: bytes | str) -> Solution:
     """Inverse of :func:`save_solution`."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"invalid JSON: {exc}") from exc
+    doc = _parse_json(text)
     if not isinstance(doc, dict) or "status" not in doc:
         raise LoadError('missing field "status"')
     try:

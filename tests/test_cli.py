@@ -1,5 +1,5 @@
-"""Command-line behavior: exit codes, golden outputs, determinism, and the
-SVG element census."""
+"""Command-line behavior: exit codes, golden outputs, determinism, the SVG
+element census, and repeated in-process calls."""
 
 import json
 import subprocess
@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import minmaxlp
+from minmaxlp import cli
 from minmaxlp.cli import main
 from minmaxlp.model import LinearProgram, save_lp
 from minmaxlp.reduction import check_interior, prepare
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+SRC = Path(minmaxlp.__file__).parents[1]
 
 
 def run_cli(tmp_path, *args):
@@ -100,6 +102,23 @@ class TestSolve:
         code, payload = run_cli(tmp_path, "solve", "--input", str(tmp_path / "nope.json"))
         assert code == 4
         assert payload == b""
+
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "out.json"
+        code = main(["solve", "--input", str(DATA / "bounded.json"), "--output", str(out)])
+        assert code == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "No such file or directory" in captured.err
+
+    def test_non_utf8_input_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + (DATA / "bounded.json").read_text().encode("utf-16-le"))
+        code, payload = run_cli(tmp_path, "solve", "--input", str(bad))
+        assert code == 4
+        assert payload == b""
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_malformed_document(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -272,10 +291,70 @@ class TestViz:
         assert run_cli(tmp_path, *args) == run_cli(tmp_path, *args)
 
 
+@pytest.mark.parametrize("module", ["minmaxlp", "minmaxlp.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "solve", "--input", str(DATA / "bounded.json")],
+        capture_output=True, cwd=SRC,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "bounded.solution.json").read_bytes()
+    assert proc.stderr == b""
+
+
+def test_repeated_calls_build_the_parser_once_and_keep_no_state(monkeypatch, capsys):
+    # each command must answer in-process exactly as it does alone in a
+    # fresh interpreter, whatever ran before it; the defaults that an
+    # earlier command overrode (--stage, --seed, --solver, --interior-point)
+    # must come back
+    bounded, tilted = str(DATA / "bounded.json"), str(DATA / "tilted.json")
+    commands = [
+        (["solve", "--input", bounded], 0, "bounded.solution.json"),
+        (["phase1", "--input", bounded], 0, "bounded.phase1.json"),
+        (["solve"], 4, None),  # usage error: --input is required
+        (["reduce", "--input", bounded, "--stage", "phase1"], 0, "bounded.reduce_phase1.json"),
+        (["reduce", "--input", bounded, "--interior-point=0,0"], 0, "bounded.reduce_support.json"),
+        (["solve", "--input", bounded, "--tolerance=0"], 4, None),
+        (["reduce", "--input", bounded], 0, "bounded.reduce_support.json"),
+        (["solve", "--input", bounded, "--seed=-1"], 4, None),
+        (["solve", "--input", bounded, "--solver", "subgradient", "--seed", "7"], 0, None),
+        (["viz", "--input", bounded], 0, "bounded.svg"),
+        (["phase1", "--input", bounded, "--interior-point", "9,9"], 4, None),
+        (["solve", "--input", tilted], 0, None),
+        (["solve", "--input", bounded], 0, "bounded.solution.json"),
+        (["solve", "--input", str(DATA / "unbounded.json")], 2, "unbounded.solution.json"),
+    ]
+    # usage messages are wrapped to the terminal width: fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+
+    # the top-level parser and each subcommand's parser, by name
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    for argv, want, golden in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        got = (code, captured.out.encode(), captured.err.encode())
+        assert code == want, argv
+        alone = subprocess.run([sys.executable, "-m", "minmaxlp", *argv], capture_output=True, cwd=SRC)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+        if golden is not None:
+            assert got[1] == (GOLDEN / golden).read_bytes(), argv
+    assert len(built) == len(set(built)), built
+
+
 def test_importing_the_package_loads_no_scipy():
     # scipy is a test extra: the package itself must run without it
     code = "import minmaxlp, minmaxlp.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, cwd=Path(minmaxlp.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=SRC)
 
 
 def test_export_list_is_what_the_package_binds():

@@ -80,6 +80,11 @@ class TestLoadLP:
         with pytest.raises(LoadError, match="invalid JSON"):
             load_lp("{not json")
 
+    def test_non_utf8_bytes(self):
+        text = b"\xff\xfe" + '{"dimension": 2}'.encode("utf-16-le")
+        with pytest.raises(LoadError, match="UTF-8"):
+            load_lp(text)
+
     def test_bool_is_not_a_number(self):
         text = '{"dimension": 2, "A": [[1, true]], "b": [1], "objective": [0, 1], "sense": "maximize"}'
         with pytest.raises(LoadError, match=r"A\[0\]\[1\]"):
@@ -120,6 +125,11 @@ class TestSolutionJSON:
     def test_unknown_status_rejected(self):
         with pytest.raises(LoadError, match="status"):
             load_solution('{"status": "maybe"}')
+
+    def test_non_utf8_bytes(self):
+        text = b"\xff\xfe" + '{"status": "optimal"}'.encode("utf-16-le")
+        with pytest.raises(LoadError, match="UTF-8"):
+            load_solution(text)
 
 
 def test_lp_round_trip_is_bit_identical():
