@@ -7,10 +7,12 @@ bounding box, recursing on one fewer variable each time a constraint is
 violated; it is intended for low dimension.  Its recursion works on lists of
 Python floats rather than numpy arrays: a solve makes tens to hundreds of
 recursive calls, each on a handful of rows, and numpy's fixed cost per call
-(slicing, stacking, one dispatch per row) outweighed the arithmetic.  Three
-in four of those subproblems or more have one or two variables, so the
-two-variable level is one flat loop that solves its one-variable subproblems
-in place, with the same arithmetic and so the same bits.  The
+(slicing, stacking, one dispatch per row) outweighed the arithmetic.  Nearly
+all of those subproblems have one to three variables, so those levels build
+no list per row: the three-variable level keeps its rows in flat columns and
+normalizes its two-variable subproblems' rows as it eliminates, and the
+two-variable level solves its one-variable subproblems in place, each with
+the same arithmetic as the general recursion and so the same bits.  The
 iterative one takes Polyak subgradient steps toward a slowly lowered target
 level and scales to any dimension at the price of approximate answers.  Its
 loop works in preallocated buffers: a solve takes some 13,000 steps, each a
@@ -164,6 +166,8 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
         return _solve_interval(A, b, c[0], lo[0], hi[0], tol)
     if dim == 2:
         return _seidel_plane(A, b, c, lo, hi, rng, tol, counts)
+    if dim == 3:
+        return _seidel_space(A, b, c, lo, hi, rng, tol, counts)
     # normalize rows so pivots and violation thresholds are scale-free
     rows, rhss = [], []
     for row, rhs in zip(A, b):
@@ -218,17 +222,104 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     return x
 
 
+def _seidel_space(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+                  tol: float, counts: list):
+    """:func:`_seidel` on three variables, its normalized rows kept in four
+    flat lists.  On a violation one pass eliminates the pivot and normalizes
+    each earlier row, and the two box rows of the eliminated coordinate, as
+    its two-variable subproblem would, then hands those columns straight to
+    :func:`_plane_loop`.  Each operation is the one :func:`_seidel` and
+    :func:`_seidel_plane` would do, in the same order, so every decision and
+    every bit of the answer is theirs.
+    """
+    p, q, r, w = [], [], [], []
+    for (a0, a1, a2), rhs in zip(A, b):
+        norm = math.hypot(a0, a1, a2)
+        if norm <= 1e-13:
+            if rhs < -tol:
+                return None  # 0 . x <= negative: inconsistent
+            continue  # vacuous row
+        p.append(a0 / norm)
+        q.append(a1 / norm)
+        r.append(a2 / norm)
+        w.append(rhs / norm)
+
+    tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]), abs(c[2]))
+    x0, x1, x2 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
+                  for cj, l, h in zip(c, lo, hi)]
+    x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2)))
+
+    cols = (p, q, r)
+    order = rng.permutation(len(w)).tolist()
+    for position, i in enumerate(order):
+        rhs = w[i]
+        slack = tol * (1 + abs(rhs)) + x_slack
+        # summed left to right, as sum() does up to Python 3.11 (3.12
+        # compensates); its 0 start only changes the sign of a zero, which
+        # no comparison sees
+        if p[i] * x0 + q[i] * x1 + r[i] * x2 <= rhs + slack:
+            continue
+        counts[2] += 1
+        # x_k = beta - a0 x_j0 - a1 x_j1, k the first largest coordinate
+        m0, m1, m2 = abs(p[i]), abs(q[i]), abs(r[i])
+        if m0 >= m1 and m0 >= m2:
+            k, j0, j1 = 0, 1, 2
+        elif m1 >= m2:
+            k, j0, j1 = 1, 0, 2
+        else:
+            k, j0, j1 = 2, 0, 1
+        col_k, col_0, col_1 = cols[k], cols[j0], cols[j1]
+        pivot = col_k[i]
+        a0 = col_0[i] / pivot
+        a1 = col_1[i] / pivot
+        beta = rhs / pivot
+        ck = c[k]
+        sub_c = [c[j0] - ck * a0, c[j1] - ck * a1]
+
+        # each earlier row becomes a normalized row (u, v) . y <= z of the
+        # two-variable subproblem, or is dropped as vacuous
+        u, v, z = [], [], []
+        for e in order[:position]:
+            pk = col_k[e]
+            s0 = col_0[e] - pk * a0
+            s1 = col_1[e] - pk * a1
+            rhs_e = w[e] - pk * beta
+            norm = math.hypot(s0, s1)
+            if norm <= 1e-13:
+                if rhs_e < -tol:
+                    return None
+                continue
+            u.append(s0 / norm)
+            v.append(s1 / norm)
+            z.append(rhs_e / norm)
+        # the box on x_k: rows (-a0, -a1) . y <= hi_k - beta and
+        # (a0, a1) . y <= beta - lo_k
+        upper, lower = hi[k] - beta, beta - lo[k]
+        norm = math.hypot(a0, a1)
+        if norm <= 1e-13:
+            if upper < -tol or lower < -tol:
+                return None
+        else:
+            n0, n1 = a0 / norm, a1 / norm
+            u += [-n0, n0]
+            v += [-n1, n1]
+            z += [upper / norm, lower / norm]
+
+        y = _plane_loop(u, v, z, sub_c, [lo[j0], lo[j1]], [hi[j0], hi[j1]], rng, tol, counts)
+        if y is None:
+            return None
+        y0, y1 = y
+        # _seidel's sum() starts at 0, which turns a -0.0 product into 0.0
+        y.insert(k, beta - (0 + a0 * y0 + a1 * y1))
+        x0, x1, x2 = y
+        x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2)))
+    return [x0, x1, x2]
+
+
 def _seidel_plane(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
                   tol: float, counts: list):
-    """:func:`_seidel` on two variables, its one-variable subproblems solved
-    in place: on a violation one loop eliminates the pivot and intersects
-    the half-lines, building no rows and calling no :func:`_solve_interval`.
-    Each operation is the one those two would do, in the same order, so
-    every decision and every bit of the answer is theirs.
-    """
-    # normalized rows (u, v) . x <= w, then the box as four rows
-    # x_0 <= hi_0, -x_0 <= -lo_0, x_1 <= hi_1, -x_1 <= -lo_1, which the
-    # elimination turns into exactly the two box rows of _seidel
+    """:func:`_seidel` on two variables: normalize the rows into columns
+    for :func:`_plane_loop`."""
     u, v, w = [], [], []
     for (a0, a1), rhs in zip(A, b):
         norm = math.hypot(a0, a1)
@@ -239,6 +330,21 @@ def _seidel_plane(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.
         u.append(a0 / norm)
         v.append(a1 / norm)
         w.append(rhs / norm)
+    return _plane_loop(u, v, w, c, lo, hi, rng, tol, counts)
+
+
+def _plane_loop(u: list, v: list, w: list, c: list, lo: list, hi: list,
+                rng: np.random.Generator, tol: float, counts: list):
+    """Minimize c . x over the normalized rows (u, v) . x <= w and the box,
+    its one-variable subproblems solved in place: on a violation one loop
+    eliminates the pivot and intersects the half-lines, building no rows
+    and calling no :func:`_solve_interval`.  Each operation is the one
+    those two would do, in the same order, so every decision and every bit
+    of the answer is theirs.  Appends the box to ``u``, ``v`` and ``w``.
+    """
+    # the box as four rows x_0 <= hi_0, -x_0 <= -lo_0, x_1 <= hi_1,
+    # -x_1 <= -lo_1, which the elimination turns into exactly the two box
+    # rows of _seidel
     n = len(w)
     u += [1.0, -1.0, 0.0, 0.0]
     v += [0.0, 0.0, 1.0, -1.0]

@@ -115,9 +115,13 @@ def validate(lp: LinearProgram) -> tuple[str, ...]:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise LoadError(f"{where}: expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise LoadError(f"{where}: entries must be finite")
-    return float(value)
+    return number
 
 
 def _require_vector(value, where: str) -> list[float]:
@@ -134,7 +138,7 @@ def _parse_json(text: bytes | str):
             raise LoadError(f"not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise LoadError(f"invalid JSON: {exc}") from exc
 
 

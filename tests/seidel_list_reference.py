@@ -1,5 +1,5 @@
 """The exact backend's Seidel recursion on Python float lists, as it was
-before its two-variable level was written as one flat loop.
+before its two- and three-variable levels were written as flat loops.
 
 ``minmaxlp.minmax._seidel`` must take exactly the decisions of this copy and
 return the same bits, so it is kept unchanged for ``tests/test_minmax.py``

@@ -2,7 +2,7 @@
 
 ``minmaxlp.minmax`` now runs the same recursion on lists of Python floats;
 this copy is kept unchanged so that ``tests/test_minmax.py`` can check that
-both take the same decisions.  Call it as ``_seidel(A, b, c, lo, hi, rng,
+both reach the same verdict and optimal value.  Call it as ``_seidel(A, b, c, lo, hi, rng,
 tol)`` with float arrays and a ``numpy.random.Generator``.
 """
 

@@ -126,6 +126,16 @@ class TestSolve:
         code, payload = run_cli(tmp_path, "solve", "--input", str(bad))
         assert code == 4
 
+    def test_integer_beyond_float_range_is_an_input_error(self, tmp_path, capsys):
+        doc = json.loads((DATA / "bounded.json").read_text())
+        text = json.dumps(doc).replace(json.dumps(doc["b"]), "[1%s, 2, 2, 1]" % ("0" * 400))
+        big = tmp_path / "big.json"
+        big.write_text(text)
+        code, payload = run_cli(tmp_path, "solve", "--input", str(big))
+        assert code == 4
+        assert payload == b""
+        assert "b[0]" in capsys.readouterr().err
+
     def test_bad_tolerance_or_seed_is_an_input_error(self, tmp_path, capsys):
         for flag in ("--tolerance=0", "--tolerance=-1e-9", "--tolerance=inf",
                      "--tolerance=nan", "--seed=-1"):

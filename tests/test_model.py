@@ -90,6 +90,14 @@ class TestLoadLP:
         with pytest.raises(LoadError, match=r"A\[0\]\[1\]"):
             load_lp(text)
 
+    def test_integer_beyond_float_range_is_a_load_error(self):
+        # past the float range, then past the digits that int() will parse
+        for digits, message in ((400, r"b\[0\]: entries must be finite"), (5000, "invalid JSON")):
+            text = ('{"dimension": 2, "A": [[1, 0]], "b": [1%s], "objective": [0, 1], '
+                    '"sense": "maximize"}' % ("0" * digits))
+            with pytest.raises(LoadError, match=message):
+                load_lp(text)
+
     def test_arrays_are_readonly(self):
         lp = square_lp()
         with pytest.raises(ValueError):
@@ -125,6 +133,12 @@ class TestSolutionJSON:
     def test_unknown_status_rejected(self):
         with pytest.raises(LoadError, match="status"):
             load_solution('{"status": "maybe"}')
+
+    def test_integer_beyond_float_range_is_a_load_error(self):
+        with pytest.raises(LoadError, match="objective"):
+            load_solution('{"status": "optimal", "objective": 1%s}' % ("0" * 400))
+        with pytest.raises(LoadError, match=r"x\[1\]"):
+            load_solution('{"status": "optimal", "x": [0, -1%s]}' % ("0" * 400))
 
     def test_non_utf8_bytes(self):
         text = b"\xff\xfe" + '{"status": "optimal"}'.encode("utf-16-le")
