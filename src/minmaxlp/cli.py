@@ -8,8 +8,8 @@ runs the full pipeline, `phase1` only searches for a strict interior point,
 Exit codes double as the classification: 0 solved or succeeded, 2 unbounded,
 3 no feasible answer (infeasible program, empty interior, or a rejected
 interior point), 4 unusable input, which includes an unreadable or non-UTF-8
-`--input` and an unwritable `--output`.  Output is byte deterministic for a
-fixed seed.
+`--input`, a malformed `--interior-point` and an unwritable `--output`.
+Output is byte deterministic for a fixed seed.
 
 Run it as the installed `minmaxlp` script, as `python -m minmaxlp`, or
 in-process through `main(argv)`, which may be called any number of times: the
@@ -90,6 +90,11 @@ def _parse_point(text: str | None) -> np.ndarray | None:
         raise LPError(f"bad --interior-point: {exc}") from None
 
 
+def _unusable_point(status: SolutionStatus) -> tuple[int, bytes]:
+    print(f"no usable interior point: {status.value}", file=sys.stderr)
+    return _STATUS_EXIT[status], b""
+
+
 def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
     """Execute one parsed command line against a program document; returns
     the exit code and the bytes destined for the output stream."""
@@ -117,8 +122,7 @@ def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
         else:
             p0 = check_interior(lp, point, options)
             if isinstance(p0, SolutionStatus):
-                print(f"no usable interior point: {p0.value}", file=sys.stderr)
-                return _STATUS_EXIT[p0], b""
+                return _unusable_point(p0)
             prob = prepare(lp, p0)[0]
         return EXIT_OK, _dumps({"G": prob.G.tolist(), "h": prob.h.tolist(), "stage": args.stage})
 
@@ -126,6 +130,9 @@ def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
         if lp.dimension != 2:
             raise LPError("viz needs a two-dimensional program")
         sol = solve(lp, interior_hint=point, options=options)
+        if sol.status is SolutionStatus.INPUT_ERROR:
+            # a malformed hint; one that is merely not inside still draws
+            return _unusable_point(sol.status)
         return EXIT_OK, render_svg(lp, sol)
 
     raise LPError(f"unknown command {args.command!r}")

@@ -5,11 +5,17 @@ inside), and the recovered optimum with its dual line.
 Primal and dual share one frame on purpose: the dual of the optimal point is
 a line through the dual points of the active constraints, and that incidence
 is the whole story of the reduction, so it should be visible in one glance.
+
+The SVG is written as text, one f-string per element, from float arrays and
+Python floats.  Every coordinate comes from the same operations in the same
+order as in the ElementTree renderer kept in ``tests/figure_reference.py``,
+and the elements are spelled as ElementTree serializes them, so the bytes
+are the same: a moved last bit can flip a ``.2f`` digit.
 """
 
 from __future__ import annotations
 
-from xml.etree import ElementTree as ET
+import math
 
 import numpy as np
 
@@ -25,71 +31,67 @@ PALETTE = (
 )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 class _Frame:
     """Square world window mapped onto the SIZE x SIZE pixel canvas."""
 
-    def __init__(self, points: list[np.ndarray]):
-        if points:
-            pts = np.vstack(points)
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
+    def __init__(self, points: np.ndarray):
+        if len(points):
+            lo, hi = points.min(axis=0), points.max(axis=0)
         else:
             lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-        self.center = (lo + hi) / 2
+        center = (lo + hi) / 2
+        self.cx, self.cy = float(center[0]), float(center[1])
         self.half = PAD * max(float((hi - lo).max()) / 2, 1e-6)
 
-    def to_px(self, p: np.ndarray) -> tuple[float, float]:
-        x = (p[0] - self.center[0] + self.half) / (2 * self.half) * SIZE
-        y = SIZE - (p[1] - self.center[1] + self.half) / (2 * self.half) * SIZE
-        return float(x), float(y)
+    def to_px(self, x, y):
+        """Pixel coordinates of world point(s): floats or equal-length arrays."""
+        px = (x - self.cx + self.half) / (2 * self.half) * SIZE
+        py = SIZE - (y - self.cy + self.half) / (2 * self.half) * SIZE
+        return px, py
 
-    def clip(self, base: np.ndarray, direction: np.ndarray):
-        """Segment of the parametric line inside the window, or None."""
-        t0, t1 = -np.inf, np.inf
-        for k in (0, 1):
-            lo = self.center[k] - self.half
-            hi = self.center[k] + self.half
-            if abs(direction[k]) < 1e-15:
-                if not lo <= base[k] <= hi:
+    def clip(self, bx: float, by: float, dx: float, dy: float):
+        """Ends (x0, y0, x1, y1) of the segment of the parametric line inside
+        the window, or None."""
+        t0, t1 = -math.inf, math.inf
+        for base, direction, center in ((bx, dx, self.cx), (by, dy, self.cy)):
+            lo = center - self.half
+            hi = center + self.half
+            if abs(direction) < 1e-15:
+                if not lo <= base <= hi:
                     return None
                 continue
-            ta = (lo - base[k]) / direction[k]
-            tb = (hi - base[k]) / direction[k]
+            ta = (lo - base) / direction
+            tb = (hi - base) / direction
             if ta > tb:
                 ta, tb = tb, ta
             t0, t1 = max(t0, ta), min(t1, tb)
         if t0 > t1:
             return None
-        return base + t0 * direction, base + t1 * direction
+        return bx + t0 * dx, by + t0 * dy, bx + t1 * dx, by + t1 * dy
 
 
-def _line_geometry(a: np.ndarray, b: float):
-    """Foot point and unit direction of the line a . x = b."""
-    norm = float(np.linalg.norm(a))
+def _line_geometry(a0: float, a1: float, b: float, norm: float):
+    """Foot point and unit direction (fx, fy, dx, dy) of the line a . x = b,
+    where ``norm`` is |a|; None when a is (nearly) zero."""
     if norm < 1e-12:
         return None
-    foot = a * (b / norm**2)
-    direction = np.array([-a[1], a[0]]) / norm
-    return foot, direction
+    scale = b / norm**2
+    return a0 * scale, a1 * scale, -a1 / norm, a0 / norm
 
 
-def _intersections(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """Crossing point of every pair of rows that are not (nearly) parallel."""
+def _intersections(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Crossing point of every pair of rows that are not (nearly) parallel,
+    one per row of a (k, 2) array."""
     i, j = np.triu_indices(len(b), k=1)
     M = np.stack([A[i], A[j]], axis=1)
     norms = np.linalg.norm(A, axis=1)
     crossing = np.abs(np.linalg.det(M)) > 1e-9 * np.maximum(norms[i] * norms[j], 1e-300)
     rhs = np.stack([b[i], b[j]], axis=1)[crossing]
-    return list(np.linalg.solve(M[crossing], rhs[:, :, None])[:, :, 0])
+    return np.linalg.solve(M[crossing], rhs[:, :, None])[:, :, 0]
 
 
-def _path(parent, d: str, color: str, **extra):
-    attrs = {"d": d, "stroke": color, "fill": "none", "stroke-width": "1.5"}
-    attrs.update(extra)
-    ET.SubElement(parent, "path", attrs)
+def _path(d: str, color: str, width: str = "1.5", extra: str = "") -> str:
+    return f'<path d="{d}" stroke="{color}" fill="none" stroke-width="{width}"{extra} />'
 
 
 def render_svg(lp: LinearProgram, solution: Solution | None = None) -> bytes:
@@ -100,104 +102,89 @@ def render_svg(lp: LinearProgram, solution: Solution | None = None) -> bytes:
     A = np.asarray(lp.A, dtype=float)
     b = np.asarray(lp.b, dtype=float)
 
+    # each row once: its coefficients, |a| (np.linalg.norm row by row, whose
+    # rounding the batched norm does not always reproduce) and its line
+    rows = []
+    for row, (a0, a1), rhs in zip(A, A.tolist(), b.tolist()):
+        norm = float(np.linalg.norm(row))
+        rows.append((a0, a1, norm, _line_geometry(a0, a1, rhs, norm)))
+
     duals = dual_constraint_points(lp) if (b > 0).all() else None
     anchors = _intersections(A, b)
     if duals is not None:
-        anchors.extend(duals)
-    if not anchors:
-        anchors = [g[0] for g in map(_line_geometry, A, b) if g is not None]
+        anchors = np.concatenate((anchors, duals))
+    if not len(anchors):
+        anchors = np.array([g[:2] for *_, g in rows if g is not None]).reshape(-1, 2)
     frame = _Frame(anchors)
+    to_px = frame.to_px
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": str(SIZE),
-            "height": str(SIZE),
-            "viewBox": f"0 0 {SIZE} {SIZE}",
-        },
-    )
-    ET.SubElement(svg, "rect", {"width": str(SIZE), "height": str(SIZE), "fill": "#ffffff"})
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff" />',
+    ]
 
     # pale axes locate the origin, which both spaces share
-    ox, oy = frame.to_px(np.zeros(2))
+    ox, oy = to_px(0.0, 0.0)
     if 0 <= ox <= SIZE:
-        _path(svg, f"M {_fmt(ox)} 0 L {_fmt(ox)} {SIZE}", "#dddddd", **{"stroke-width": "1"})
+        parts.append(_path(f"M {ox:.2f} 0 L {ox:.2f} {SIZE}", "#dddddd", "1"))
     if 0 <= oy <= SIZE:
-        _path(svg, f"M 0 {_fmt(oy)} L {SIZE} {_fmt(oy)}", "#dddddd", **{"stroke-width": "1"})
+        parts.append(_path(f"M 0 {oy:.2f} L {SIZE} {oy:.2f}", "#dddddd", "1"))
 
-    for i in range(lp.n):
+    for i, (a0, a1, norm, geometry) in enumerate(rows):
         color = PALETTE[i % len(PALETTE)]
-        geometry = _line_geometry(A[i], b[i])
         segment = frame.clip(*geometry) if geometry else None
         if segment is None:
             # vacuous or off-screen row: keep one zero-length line so every
             # constraint owns exactly one line element
-            px, py = frame.to_px(geometry[0] if geometry else np.zeros(2))
-            p0 = p1 = (px, py)
+            x1, y1 = x2, y2 = to_px(*geometry[:2]) if geometry else to_px(0.0, 0.0)
         else:
-            p0, p1 = frame.to_px(segment[0]), frame.to_px(segment[1])
-        ET.SubElement(
-            svg,
-            "line",
-            {
-                "x1": _fmt(p0[0]),
-                "y1": _fmt(p0[1]),
-                "x2": _fmt(p1[0]),
-                "y2": _fmt(p1[1]),
-                "stroke": color,
-                "stroke-width": "2",
-            },
+            sx0, sy0, sx1, sy1 = segment
+            x1, y1 = to_px(sx0, sy0)
+            x2, y2 = to_px(sx1, sy1)
+        parts.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{color}" stroke-width="2" />'
         )
-        if segment is not None and geometry is not None:
+        if segment is not None:
             # short ticks pointing into the feasible halfplane
-            norm = np.linalg.norm(A[i])
-            inward = np.array([-A[i][0], A[i][1]]) / norm  # pixel space flips y
+            ix, iy = -a0 / norm, a1 / norm  # pixel space flips y
             marks = []
             for frac in (0.3, 0.5, 0.7):
-                sx, sy = frame.to_px(segment[0] + frac * (segment[1] - segment[0]))
-                marks.append(
-                    f"M {_fmt(sx)} {_fmt(sy)} "
-                    f"L {_fmt(sx + 10 * inward[0])} {_fmt(sy + 10 * inward[1])}"
-                )
-            _path(svg, " ".join(marks), color)
+                sx, sy = to_px(sx0 + frac * (sx1 - sx0), sy0 + frac * (sy1 - sy0))
+                marks.append(f"M {sx:.2f} {sy:.2f} L {sx + 10 * ix:.2f} {sy + 10 * iy:.2f}")
+            parts.append(_path(" ".join(marks), color))
 
     if duals is not None:
-        for i, q in enumerate(duals):
-            qx, qy = frame.to_px(q)
-            ET.SubElement(
-                svg,
-                "circle",
-                {
-                    "cx": _fmt(qx),
-                    "cy": _fmt(qy),
-                    "r": "5",
-                    "fill": PALETTE[i % len(PALETTE)],
-                },
+        qx, qy = to_px(duals[:, 0], duals[:, 1])
+        for i, (x, y) in enumerate(zip(qx.tolist(), qy.tolist())):
+            parts.append(
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="{PALETTE[i % len(PALETTE)]}" />'
             )
 
     if solution is not None and solution.status is SolutionStatus.OPTIMAL:
         x = np.asarray(solution.x, dtype=float)
-        cx, cy = frame.to_px(x)
-        _path(
-            svg,
-            f"M {_fmt(cx - 8)} {_fmt(cy - 8)} L {_fmt(cx + 8)} {_fmt(cy + 8)} "
-            f"M {_fmt(cx - 8)} {_fmt(cy + 8)} L {_fmt(cx + 8)} {_fmt(cy - 8)}",
+        x0, x1 = x.tolist()
+        cx, cy = to_px(x0, x1)
+        parts.append(_path(
+            f"M {cx - 8:.2f} {cy - 8:.2f} L {cx + 8:.2f} {cy + 8:.2f} "
+            f"M {cx - 8:.2f} {cy + 8:.2f} L {cx + 8:.2f} {cy - 8:.2f}",
             "#111111",
-            **{"stroke-width": "2.5"},
-        )
-        if duals is not None and np.linalg.norm(x) > 1e-9:
+            "2.5",
+        ))
+        norm = float(np.linalg.norm(x))
+        if duals is not None and norm > 1e-9:
             # the dual of the optimum: a line through the dual points of the
             # constraints active at it
-            geometry = _line_geometry(x, -1.0)
-            segment = frame.clip(*geometry) if geometry else None
+            segment = frame.clip(*_line_geometry(x0, x1, -1.0, norm))
             if segment is not None:
-                (ax, ay), (bx, by) = frame.to_px(segment[0]), frame.to_px(segment[1])
-                _path(
-                    svg,
-                    f"M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}",
+                ax, ay = to_px(*segment[:2])
+                bx, by = to_px(*segment[2:])
+                parts.append(_path(
+                    f"M {ax:.2f} {ay:.2f} L {bx:.2f} {by:.2f}",
                     "#111111",
-                    **{"stroke-dasharray": "6 4"},
-                )
+                    extra=' stroke-dasharray="6 4"',
+                ))
 
-    return ET.tostring(svg, encoding="unicode").encode("utf-8") + b"\n"
+    parts.append("</svg>\n")
+    return "".join(parts).encode("utf-8")

@@ -426,6 +426,13 @@ def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Gene
     return z[:d], float(z[-1]), box_active
 
 
+def box_half_width(prob: PiecewiseMaxProblem) -> float:
+    """Half-width of the exact backend's first bounding box: ``BOX_FACTOR``
+    times the instance's own scale, 1 + max|h_i| + max|G_i|."""
+    scale = 1.0 + float(np.abs(prob.h).max()) + float(np.linalg.norm(prob.G, axis=1).max())
+    return BOX_FACTOR * scale
+
+
 def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
                 tolerance: float = 1e-9) -> MinMaxResult:
     """Exact minimization via the epigraph LP.
@@ -442,8 +449,7 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
             "use solve_subgradient"
         )
     rng = np.random.default_rng(seed)
-    scale = 1.0 + float(np.abs(prob.h).max()) + float(np.linalg.norm(prob.G, axis=1).max())
-    box = BOX_FACTOR * scale
+    box = box_half_width(prob)
     counts = [0] * (prob.d + 2)
     status = MinMaxStatus.MINIMIZED
     x, t, box_active = _epigraph_minimum(prob, box, rng, tolerance, counts)

@@ -21,6 +21,7 @@ from .minmax import (
     MinMaxResult,
     MinMaxStatus,
     PiecewiseMaxProblem,
+    box_half_width,
     evaluate,
     solve_exact,
     solve_subgradient,
@@ -83,11 +84,28 @@ def phase1(lp: LinearProgram, options: SolveOptions | None = None) -> PhaseOneRe
     the construction cannot tell them apart.
     """
     options = options or SolveOptions()
-    result = _run_minmax(PiecewiseMaxProblem(G=lp.A, h=-lp.b), options)
+    prob = PiecewiseMaxProblem(G=lp.A, h=-lp.b)
+    result = _run_minmax(prob, options)
     # a descent to minus infinity just means arbitrarily deep interior;
     # the witness point is still strictly inside
     p0 = result.x_star
     margin = float(result.value)
+    # but the iterative backend runs on to a margin near -1e12, too deep
+    # for the support stage to resolve the intercept.  When such a descent
+    # ends past the exact backend's doubled box, the farthest that backend
+    # looks, and every row falls along the witness, pull it back toward the
+    # origin to the first point whose margin is -(1 + max|b|); keep that
+    # point when its margin, checked exactly, is strict
+    if result.status is MinMaxStatus.UNBOUNDED_BELOW and (
+        float(np.abs(p0).max()) > 2 * box_half_width(prob)
+    ):
+        slopes = lp.A @ p0
+        if (slopes < 0).all():
+            level = -(1.0 + float(np.abs(lp.b).max()))
+            pulled = float(((level + lp.b) / slopes).max()) * p0
+            pulled_margin = float((lp.A @ pulled - lp.b).max())
+            if pulled_margin < -EPS_STRICT:
+                p0, margin = pulled, pulled_margin
     if margin < -EPS_STRICT:
         return PhaseOneResult(PhaseOneStatus.STRICT_INTERIOR, p0, margin)
     return PhaseOneResult(PhaseOneStatus.NO_STRICT_INTERIOR, p0, margin)

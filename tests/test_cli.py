@@ -296,6 +296,30 @@ class TestViz:
         assert payload == b""
         assert "two-dimensional" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", ["1,2,3", "nan,0"])
+    def test_malformed_interior_point_is_an_input_error(self, tmp_path, capsys, point):
+        # as solve and reduce answer on the same input
+        args = ("--input", str(DATA / "bounded.json"), f"--interior-point={point}")
+        code, payload = run_cli(tmp_path, "viz", *args)
+        assert code == 4
+        assert payload == b""
+        assert capsys.readouterr().err == "no usable interior point: input_error\n"
+        assert run_cli(tmp_path, "reduce", *args) == (4, b"")
+        assert capsys.readouterr().err == "no usable interior point: input_error\n"
+        assert run_cli(tmp_path, "solve", *args)[0] == 4
+
+    def test_point_outside_still_draws(self, tmp_path):
+        # a well-formed hint that is not strictly inside: no optimum, but
+        # the lines and the dual points
+        code, payload = run_cli(
+            tmp_path, "viz", "--input", str(DATA / "bounded.json"), "--interior-point=9,9"
+        )
+        assert code == 0
+        _, tags = _census(payload)
+        assert tags.count("line") == 4
+        assert tags.count("circle") == 4
+        assert b"#111111" not in payload
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         args = ("viz", "--input", str(DATA / "bounded.json"))
         assert run_cli(tmp_path, *args) == run_cli(tmp_path, *args)

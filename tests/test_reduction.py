@@ -9,7 +9,13 @@ from dual_geometry import Plane, is_feasible_dual_plane
 from lpgen import bounded_lp, flat_lp, infeasible_lp, unbounded_lp
 from minmaxlp import reduction
 from minmaxlp.errors import DimensionCapError, ReductionError
-from minmaxlp.minmax import MinMaxResult, MinMaxStatus, solve_exact, solve_subgradient
+from minmaxlp.minmax import (
+    MinMaxResult,
+    MinMaxStatus,
+    PiecewiseMaxProblem,
+    solve_exact,
+    solve_subgradient,
+)
 from minmaxlp.model import LinearProgram, SolutionStatus
 from minmaxlp.reduction import (
     PhaseOneStatus,
@@ -29,6 +35,16 @@ ROOF = LinearProgram(
     b=[1.0, 2.0, 2.0, 1.0],
     c=[0.0, 1.0],
 )  # ceiling plus two slanted walls and a floor; top edge at y = 1
+
+# bounded programs whose phase-1 margin max(A p - b) has no minimum, with
+# their optima: the ceiling y <= 1 and the quadrant x <= 1, y <= 1
+NO_DEEPEST_POINT = [
+    pytest.param(LinearProgram(dimension=2, A=[[0.0, 1.0]], b=[1.0], c=[0.0, 1.0]),
+                 [0.0, 1.0], id="ceiling"),
+    pytest.param(LinearProgram(dimension=2, A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1.0],
+                               c=[1.0, 1.0]),
+                 [1.0, 1.0], id="quadrant"),
+]
 
 
 class TestPhase1:
@@ -84,6 +100,30 @@ class TestPhase1:
         res = phase1(lp)
         assert res.status is PhaseOneStatus.STRICT_INTERIOR
         assert (lp.A @ res.p0 < lp.b).all()
+
+    @pytest.mark.parametrize("lp, x_star", NO_DEEPEST_POINT)
+    def test_exact_witness_is_the_backend_minimizer(self, lp, x_star):
+        # the witness sits on the exact backend's doubled box, so it is
+        # returned bit for bit, never pulled back
+        res = phase1(lp)
+        want = solve_exact(PiecewiseMaxProblem(G=lp.A, h=-lp.b))
+        assert want.status is MinMaxStatus.UNBOUNDED_BELOW
+        assert res.p0.tobytes() == want.x_star.tobytes()
+        assert res.margin == want.value
+
+    @pytest.mark.parametrize("lp, x_star", NO_DEEPEST_POINT)
+    def test_runaway_witness_is_pulled_back(self, lp, x_star):
+        # the iterative backend runs off to a margin near -1e12; phase 1
+        # hands back the point of that ray whose margin is -(1 + max|b|)
+        raw = solve_subgradient(PiecewiseMaxProblem(G=lp.A, h=-lp.b))
+        assert raw.value < -1e11
+        res = phase1(lp, SolveOptions(solver="subgradient"))
+        assert res.status is PhaseOneStatus.STRICT_INTERIOR
+        assert res.margin == pytest.approx(-2.0, rel=1e-12)
+        assert res.margin == float((lp.A @ res.p0 - lp.b).max())
+        # on the ray from the origin through the raw witness
+        np.testing.assert_allclose(res.p0 / np.abs(res.p0).max(),
+                                   raw.x_star / np.abs(raw.x_star).max(), rtol=1e-12)
 
 
 class TestDualPoints:
@@ -347,6 +387,16 @@ class TestSubgradientBackend:
         )
         sol = solve(lp, options=SolveOptions(solver="subgradient"))
         assert sol.status is SolutionStatus.UNBOUNDED
+
+    @pytest.mark.parametrize("lp, x_star", NO_DEEPEST_POINT)
+    @pytest.mark.parametrize("solver", ["exact", "subgradient"])
+    def test_margin_without_minimum(self, lp, x_star, solver):
+        # the iterative backend's phase 1 runs off to a margin near -1e12;
+        # from there the support stage would call these programs unbounded
+        sol = solve(lp, options=SolveOptions(solver=solver))
+        assert sol.status is SolutionStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, x_star, rtol=0, atol=1e-6)
+        assert sol.objective == pytest.approx(float(lp.c @ x_star), rel=0, abs=1e-6)
 
 
 class TestDimensionCap:
