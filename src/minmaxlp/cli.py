@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
 
-from .errors import LPError
+from .errors import LPError, ReductionError
 from .figure import render_svg
 from .minmax import PiecewiseMaxProblem
 from .model import SolutionStatus, load_lp, save_solution, _dumps
@@ -95,11 +94,10 @@ def _unusable_point(status: SolutionStatus) -> tuple[int, bytes]:
     return _STATUS_EXIT[status], b""
 
 
-def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
+def run(args: argparse.Namespace, text: bytes, options: SolveOptions) -> tuple[int, bytes]:
     """Execute one parsed command line against a program document; returns
     the exit code and the bytes destined for the output stream."""
     lp = load_lp(text)
-    options = SolveOptions(seed=args.seed, tolerance=args.tolerance, solver=args.solver)
 
     if args.command == "phase1":
         res = phase1(lp, options)
@@ -141,13 +139,14 @@ def run(args: argparse.Namespace, text: bytes) -> tuple[int, bytes]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
-            raise LPError("--tolerance must be positive and finite")
-        if args.seed < 0:
-            raise LPError("--seed must be non-negative")
+        options = SolveOptions(seed=args.seed, tolerance=args.tolerance, solver=args.solver)
+    except ReductionError as exc:  # its message starts with the field's name, the flag's too
+        print(f"--{exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         with open(args.input, "rb") as f:
             text = f.read()
-        code, payload = run(args, text)
+        code, payload = run(args, text, options)
         if payload and args.output is not None:
             with open(args.output, "wb") as f:
                 f.write(payload)

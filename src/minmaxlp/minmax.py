@@ -12,12 +12,13 @@ all of those subproblems have one to three variables, so those levels build
 no list per row: the three-variable level keeps its rows in flat columns and
 normalizes its two-variable subproblems' rows as it eliminates, and the
 two-variable level solves its one-variable subproblems in place, each with
-the same arithmetic as the general recursion and so the same bits.  The
-iterative one takes Polyak subgradient steps toward a slowly lowered target
-level and scales to any dimension at the price of approximate answers.  Its
-loop works in preallocated buffers: a solve takes some 13,000 steps, each a
-handful of numpy calls on short vectors, so fresh arrays and Python helpers
-per step cost more than the arithmetic.
+the same arithmetic as the general recursion and so the same bits.  Orders
+are drawn by shuffling lists, the same draws as ``rng.permutation`` at a
+third of the cost.  The iterative one takes Polyak subgradient steps toward
+a slowly lowered target level and scales to any dimension at the price of
+approximate answers.  Its loop works in preallocated buffers: a solve takes
+some 13,000 steps, each a handful of numpy calls on short vectors, so fresh
+arrays and Python helpers per step cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _active_set(prob: PiecewiseMaxProblem, x: np.ndarray, value: float) -> tuple
 
 def _active_pieces(values: np.ndarray, value: float) -> tuple[int, ...]:
     """Indices of the pieces whose ``values`` lie within ACTIVE_TOL of ``value``."""
-    return tuple(int(i) for i in np.flatnonzero(values >= value - ACTIVE_TOL * (1 + abs(value))))
+    return tuple(np.flatnonzero(values >= value - ACTIVE_TOL * (1 + abs(value))).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,8 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     # the point only changes after a violation, so neither does its slack term
     x_slack = 1e-12 * (1 + max(map(abs, x)))
 
-    order = rng.permutation(len(rows)).tolist()
+    order = list(range(len(rows)))
+    rng.shuffle(order)
     for position, i in enumerate(order):
         row, rhs = rows[i], rhss[i]
         slack = tol * (1 + abs(rhs)) + x_slack
@@ -250,7 +252,8 @@ def _seidel_space(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.
     x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2)))
 
     cols = (p, q, r)
-    order = rng.permutation(len(w)).tolist()
+    order = list(range(len(w)))
+    rng.shuffle(order)
     for position, i in enumerate(order):
         rhs = w[i]
         slack = tol * (1 + abs(rhs)) + x_slack
@@ -355,7 +358,8 @@ def _plane_loop(u: list, v: list, w: list, c: list, lo: list, hi: list,
               for cj, l, h in zip(c, lo, hi)]
     x_slack = 1e-12 * (1 + max(abs(x0), abs(x1)))
 
-    order = rng.permutation(n).tolist()
+    order = list(range(n))
+    rng.shuffle(order)
     for position, i in enumerate(order):
         rhs = w[i]
         slack = tol * (1 + abs(rhs)) + x_slack
@@ -413,24 +417,24 @@ def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Gene
 
     Returns (x, t, box_active); ``counts`` is :func:`_seidel`'s.
     """
-    d = prob.d
-    A = [row + [-1.0] for row in prob.G.tolist()]
+    m, d = prob.G.shape
+    A = np.hstack((prob.G, np.full((m, 1), -1.0))).tolist()
     c = [0.0] * d + [1.0]
     z = _seidel(A, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol, counts)
     if z is None:
         raise SolverError(
             "incremental solve hit an inconsistent subsystem; retry with a different seed"
         )
-    z = np.array(z)
-    box_active = bool(np.any(np.abs(z) >= box * (1 - 1e-7)))
-    return z[:d], float(z[-1]), box_active
+    limit = box * (1 - 1e-7)
+    return np.array(z[:d]), z[-1], any(abs(v) >= limit for v in z)
 
 
 def box_half_width(prob: PiecewiseMaxProblem) -> float:
     """Half-width of the exact backend's first bounding box: ``BOX_FACTOR``
-    times the instance's own scale, 1 + max|h_i| + max|G_i|."""
-    scale = 1.0 + float(np.abs(prob.h).max()) + float(np.linalg.norm(prob.G, axis=1).max())
-    return BOX_FACTOR * scale
+    times the instance's own scale, 1 + max|h_i| + max|G_i|.  The largest row
+    norm is the root of the largest row sum of squares, np.linalg.norm's bits."""
+    squares = np.add.reduce(prob.G * prob.G, axis=1)
+    return BOX_FACTOR * (1.0 + float(np.abs(prob.h).max()) + math.sqrt(float(squares.max())))
 
 
 def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -124,10 +125,42 @@ def _require_number(value, where: str) -> float:
     return number
 
 
-def _require_vector(value, where: str) -> list[float]:
+def _finite_floats(raw: list, entries) -> np.ndarray | None:
+    """``raw`` as one float array if all its ``entries`` are finite JSON numbers, else None."""
+    if not set(map(type, entries)) <= {int, float}:
+        return None
+    try:
+        array = np.array(raw, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _require_vector(value, where: str) -> np.ndarray | list[float]:
     if not isinstance(value, list):
         raise LoadError(f"{where}: expected an array of numbers")
+    vector = _finite_floats(value, value)
+    if vector is not None:
+        return vector
+    # some entry is bad: walk to name the first
     return [_require_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _require_matrix(raw, dimension: int) -> np.ndarray | list:
+    if not isinstance(raw, list):
+        raise LoadError("A: expected an array of rows")
+    if not raw:
+        raise LoadError("A: must have at least one row")
+    if all(isinstance(row, list) and len(row) == dimension for row in raw):
+        matrix = _finite_floats(raw, chain.from_iterable(raw))
+        if matrix is not None:
+            return matrix
+    rows = []  # some row or entry is bad: walk to name the first
+    for i, row in enumerate(raw):
+        rows.append(_require_vector(row, f"A[{i}]"))
+        if len(row) != dimension:
+            raise LoadError(f"A[{i}]: expected {dimension} entries, got {len(row)}")
+    return rows
 
 
 def _parse_json(text: bytes | str):
@@ -147,7 +180,7 @@ def load_lp(text: bytes | str) -> LinearProgram:
 
     Raises :class:`LoadError` naming the offending field on bytes that are
     not UTF-8, malformed JSON, missing fields, non-numeric entries, or shape
-    mismatches.
+    mismatches.  The message names the first bad entry in document order.
     """
     doc = _parse_json(text)
     if not isinstance(doc, dict):
@@ -161,22 +194,10 @@ def load_lp(text: bytes | str) -> LinearProgram:
     if isinstance(dimension, bool) or not isinstance(dimension, int):
         raise LoadError("dimension: expected an integer")
 
-    raw_a = doc["A"]
-    if not isinstance(raw_a, list):
-        raise LoadError("A: expected an array of rows")
-    rows = []
-    for i, row in enumerate(raw_a):
-        if not isinstance(row, list):
-            raise LoadError(f"A[{i}]: expected an array of numbers")
-        rows.append([_require_number(v, f"A[{i}][{j}]") for j, v in enumerate(row)])
-        if len(rows[-1]) != dimension:
-            raise LoadError(f"A[{i}]: expected {dimension} entries, got {len(rows[-1])}")
-    if not rows:
-        raise LoadError("A: must have at least one row")
-
+    A = _require_matrix(doc["A"], dimension)
     b = _require_vector(doc["b"], "b")
-    if len(b) != len(rows):
-        raise LoadError(f"b: expected {len(rows)} entries (one per row of A), got {len(b)}")
+    if len(b) != len(A):
+        raise LoadError(f"b: expected {len(A)} entries (one per row of A), got {len(b)}")
     c = _require_vector(doc["objective"], "objective")
     if len(c) != dimension:
         raise LoadError(f"objective: expected {dimension} entries, got {len(c)}")
@@ -191,7 +212,7 @@ def load_lp(text: bytes | str) -> LinearProgram:
     if name is not None and not isinstance(name, str):
         raise LoadError("name: expected a string")
 
-    lp = LinearProgram(dimension=dimension, A=rows, b=b, c=c, sense=sense, name=name)
+    lp = LinearProgram(dimension=dimension, A=A, b=b, c=c, sense=sense, name=name)
     violations = validate(lp)
     if violations:
         raise LoadError("; ".join(violations))

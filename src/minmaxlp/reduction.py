@@ -11,6 +11,7 @@ slope; its optimum dualizes straight back to the LP optimum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,9 +32,9 @@ from .transforms import (
     EPS_STRICT,
     HouseholderRotation,
     ProblemTransform,
-    make_origin_strictly_feasible,
+    _rotate_rows,
+    _translated_offsets,
     recover_solution,
-    rotate_problem,
     rotation_to_last_axis,
 )
 
@@ -61,17 +62,25 @@ class PhaseOneResult:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Settings of a solve; a bad value raises ReductionError led by the field's name."""
+
     seed: int = 0
     tolerance: float = 1e-9
     solver: str = "exact"
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ReductionError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (isinstance(self.tolerance, numbers.Real) and 0 < self.tolerance < np.inf):
+            raise ReductionError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if self.solver not in ("exact", "subgradient"):
+            raise ReductionError(f"solver must be 'exact' or 'subgradient', got {self.solver!r}")
 
 
 def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResult:
     if options.solver == "exact":
         return solve_exact(prob, seed=options.seed, tolerance=options.tolerance)
-    if options.solver == "subgradient":
-        return solve_subgradient(prob, tolerance=options.tolerance)
-    raise ReductionError(f"unknown solver {options.solver!r}")
+    return solve_subgradient(prob, tolerance=options.tolerance)
 
 
 def phase1(lp: LinearProgram, options: SolveOptions | None = None) -> PhaseOneResult:
@@ -124,9 +133,13 @@ def dual_constraint_points(lp: LinearProgram) -> np.ndarray:
             f"row {row}: offset must be positive before dualizing, got {lp.b[row]!r}; "
             "translate a strict interior point to the origin first"
         )
-    duals = -lp.A / lp.b[:, None]
+    duals = _dual_points(lp.A, lp.b)
     duals.setflags(write=False)
     return duals
+
+
+def _dual_points(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return -A / b[:, None]
 
 
 def build_support_problem(duals: np.ndarray) -> PiecewiseMaxProblem:
@@ -216,13 +229,17 @@ def prepare(lp: LinearProgram, p0: np.ndarray) -> tuple[PiecewiseMaxProblem, Pro
     ``p0``: flip a minimize objective, translate ``p0`` to the origin, rotate
     the objective onto the last axis and dualize the constraints.  An
     all-zero objective has no direction to rotate, so it is left unrotated.
-    The transform maps the reduced coordinates back to the original ones."""
-    translated = make_origin_strictly_feasible(lp, p0)
+    The transform maps the reduced coordinates back to the original ones.
+    It builds no intermediate program: its array steps are those behind
+    :func:`make_origin_strictly_feasible`, :func:`rotate_problem` and
+    :func:`dual_constraint_points`, so its pieces and errors are theirs."""
+    offsets = _translated_offsets(lp, p0)
     if lp.c.any():
         rotation = rotation_to_last_axis(lp.c if lp.sense is Sense.MAXIMIZE else -lp.c)
     else:
         rotation = HouseholderRotation(lp.dimension, u_hat=None)
-    prob = build_support_problem(dual_constraint_points(rotate_problem(translated, rotation)))
+    A = lp.A if rotation.u_hat is None else _rotate_rows(lp.A, rotation.u_hat)
+    prob = build_support_problem(_dual_points(A, offsets))
     return prob, ProblemTransform(rotation=rotation, p0=p0)
 
 
@@ -232,7 +249,7 @@ def solve(
     options: SolveOptions | None = None,
 ) -> Solution:
     """Solve the LP end to end; the status carries the outcome.  Raises on
-    configuration problems (unknown solver, dimension cap) and, a known
+    configuration problems (dimension cap) and, a known
     defect, with :class:`SolverError` ("inconsistent subsystem") on some
     programs whose rows are rescaled by large factors."""
     options = options or SolveOptions()

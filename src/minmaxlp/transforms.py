@@ -9,7 +9,7 @@ it is applied implicitly in O(d) per vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,8 +58,12 @@ def make_origin_strictly_feasible(lp: LinearProgram, p0: np.ndarray) -> LinearPr
 
     The shifted program has b' = b - A p0, which is strictly positive; raises
     :class:`TransformError` naming the first violated row when ``p0`` is not
-    strictly inside.
-    """
+    strictly inside."""
+    return replace(lp, b=_translated_offsets(lp, p0))
+
+
+def _translated_offsets(lp: LinearProgram, p0: np.ndarray) -> np.ndarray:
+    """b - A p0, once ``p0`` is checked to be strictly inside ``lp``."""
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (lp.dimension,):
         raise TransformError(f"interior point must have {lp.dimension} coordinates")
@@ -72,14 +76,8 @@ def make_origin_strictly_feasible(lp: LinearProgram, p0: np.ndarray) -> LinearPr
         raise TransformError(
             f"point is not strictly interior: row {row} has margin {margins[row]:.3e}"
         )
-    return LinearProgram(
-        dimension=lp.dimension,
-        A=lp.A,
-        b=lp.b - lp.A @ p0,
-        c=lp.c,
-        sense=lp.sense,
-        name=lp.name,
-    )
+    # each margin is below -EPS_STRICT, so its negation is b - A p0 to the bit
+    return -margins
 
 
 def rotation_to_last_axis(c: np.ndarray) -> HouseholderRotation:
@@ -91,7 +89,6 @@ def rotation_to_last_axis(c: np.ndarray) -> HouseholderRotation:
     if norm == 0.0:
         raise TransformError("objective must be nonzero to define a rotation")
     u = c / norm
-    u = u.copy()
     u[-1] -= 1.0
     u_norm = float(np.linalg.norm(u))
     if u_norm < EPS_IDENTITY:
@@ -108,21 +105,20 @@ def apply_rotation(
         raise TransformError(f"expected vectors of length {rotation.d}, got {v.shape[-1]}")
     if rotation.u_hat is None:
         return v
-    u = rotation.u_hat
+    rows = _rotate_rows(np.atleast_2d(v), rotation.u_hat, inverse)
+    return rows[0] if v.ndim == 1 else rows
 
-    def reflect(w: np.ndarray) -> np.ndarray:
-        return w - 2.0 * np.multiply.outer(w @ u, u)
 
-    single = v.ndim == 1
-    rows = v[None, :] if single else v
+def _rotate_rows(rows: np.ndarray, u_hat: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The rotation with axis ``u_hat`` applied to each row, into a new array:
+    reflect, then negate the first column; the inverse does the reverse."""
     if inverse:
         rows = rows.copy()
         rows[:, 0] = -rows[:, 0]
-        out = reflect(rows)
-    else:
-        out = reflect(rows)
+    out = rows - 2.0 * np.multiply.outer(rows @ u_hat, u_hat)
+    if not inverse:
         out[:, 0] = -out[:, 0]
-    return out[0] if single else out
+    return out
 
 
 def rotate_problem(lp: LinearProgram, rotation: HouseholderRotation) -> LinearProgram:
@@ -135,14 +131,7 @@ def rotate_problem(lp: LinearProgram, rotation: HouseholderRotation) -> LinearPr
         raise TransformError(
             f"rotation is {rotation.d}-dimensional but the program has dimension {lp.dimension}"
         )
-    return LinearProgram(
-        dimension=lp.dimension,
-        A=apply_rotation(rotation, lp.A),
-        b=lp.b,
-        c=apply_rotation(rotation, lp.c),
-        sense=lp.sense,
-        name=lp.name,
-    )
+    return replace(lp, A=apply_rotation(rotation, lp.A), c=apply_rotation(rotation, lp.c))
 
 
 @dataclass(frozen=True, eq=False)

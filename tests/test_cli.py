@@ -146,6 +146,12 @@ class TestSolve:
             assert payload == b"", flag
             assert flag.split("=")[0] in capsys.readouterr().err, flag
 
+    def test_options_are_checked_before_the_input_is_read(self, tmp_path, capsys):
+        code, payload = run_cli(tmp_path, "solve", "--input", str(tmp_path / "absent.json"),
+                                "--seed=-1")
+        assert (code, payload) == (4, b"")
+        assert capsys.readouterr().err == "--seed must be a non-negative integer, got -1\n"
+
     def test_usage_errors_exit_4(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve"])  # --input is required

@@ -199,6 +199,20 @@ class TestSolveExact:
         assert result.stats["subproblems"][3] == 2
 
 
+    def test_box_half_width_takes_numpy_row_norms(self):
+        """The box is sized from the largest row sum of squares, rooted once;
+        it must carry the bits of the largest np.linalg.norm row norm, also
+        when the squares overflow."""
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            m, d = int(rng.integers(1, 300)), int(rng.integers(1, 7))
+            G = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-160, 160, size=(m, 1))
+            prob = PiecewiseMaxProblem(G=G, h=rng.standard_normal(m))
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(G, axis=1).max())
+                got = minmax.box_half_width(prob)
+            assert got == minmax.BOX_FACTOR * (1.0 + float(np.abs(prob.h).max()) + norm)
+
 def _epigraph_instance(rng, n=None, rows=(1, 40)):
     """min t s.t. G x - t <= -h in a box, with n variables (1-6 if not
     given) and a number of rows in the closed range ``rows``, some of them
@@ -376,6 +390,22 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
         A, b, c, lo, hi = _epigraph_instance(rng, n=3, rows=(40, 200))
         same_answer((A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
     assert min(seen.values()) >= 5 and len(seen) == 8, seen
+
+
+def test_list_shuffle_draws_what_permutation_draws():
+    """The exact backend draws each visiting order as ``rng.shuffle`` of a
+    list of indices, where it once used ``rng.permutation(n).tolist()``.
+    Both must give the same order and leave the generator in the same state,
+    draw after draw; a numpy release that changes either fails here rather
+    than moving every answer of the exact backend unnoticed."""
+    sizes = [*range(65), 1000, 2048, 4999]
+    for seed in range(100):
+        shuffled, permuted = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in sizes:
+            order = list(range(n))
+            shuffled.shuffle(order)
+            assert order == permuted.permutation(n).tolist(), (seed, n)
+            assert shuffled.bit_generator.state == permuted.bit_generator.state, (seed, n)
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Validation and JSON round-trip tests for the LP / solution types."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import load_reference
 from minmaxlp import (
     LinearProgram,
     LoadError,
@@ -174,3 +178,99 @@ def test_lp_round_trip_preserves_values():
     np.testing.assert_array_equal(back.c, lp.c)
     assert back.sense is lp.sense
     assert back.dimension == lp.dimension
+
+
+def _rarely(draw, one_in: int) -> bool:
+    # hypothesis leans to small integers, so the common case is the small one
+    return draw(st.integers(0, one_in - 1)) == one_in - 1
+
+
+# numbers that load: floats, and integers up to and beyond int64 whose
+# conversion to float must match float()
+_finite = st.one_of(
+    st.integers(-10, 10),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**80), 2**80),
+    st.integers(10**300, 2**1024 - 2**971) | st.integers(-(2**1024 - 2**971), -(10**300)),
+)
+# values that do not: other JSON types, the NaN/Infinity literals and
+# integers on both sides of the edge of the float range
+_odd = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(_finite, max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(2**1024 - 2**971, 2**1024 + 2**1000),
+    st.integers(-(2**1024 + 2**1000), -(2**1024 - 2**971)),
+)
+
+
+@st.composite
+def _entry(draw):
+    return draw(_odd) if _rarely(draw, 40) else draw(_finite)
+
+
+@st.composite
+def _documents(draw):
+    dimension = draw(st.sampled_from([1, 0, -1, True, 2.0, "2"] if _rarely(draw, 8) else [2, 3]))
+    width = dimension if type(dimension) is int and dimension >= 0 else 2
+    rows = 0 if _rarely(draw, 20) else draw(st.integers(1, 4))
+
+    def vector(size):
+        if _rarely(draw, 10):  # ragged
+            size = draw(st.integers(0, 4))
+        return draw(st.lists(_entry(), min_size=size, max_size=size))
+
+    def field(make):
+        return draw(_odd) if _rarely(draw, 15) else make()
+
+    doc = {
+        "dimension": dimension,
+        "A": field(lambda: [field(lambda: vector(width)) for _ in range(rows)]),
+        "b": field(lambda: vector(rows)),
+        "objective": field(lambda: vector(width)),
+        "sense": draw(st.sampled_from(["max", None] if _rarely(draw, 10)
+                                      else ["maximize", "minimize"])),
+    }
+    if draw(st.booleans()):
+        doc["name"] = draw(st.sampled_from(["lp", None, 3]))
+    for key in list(doc):
+        if _rarely(draw, 30):
+            del doc[key]
+    return json.dumps(doc)
+
+
+def _outcome(load, text):
+    try:
+        lp = load(text)
+    except LoadError as exc:
+        return "LoadError", str(exc)
+    return ("loaded", lp.dimension, lp.A.shape, lp.A.tobytes(), lp.b.shape, lp.b.tobytes(),
+            lp.c.shape, lp.c.tobytes(), lp.sense, lp.name)
+
+
+def _doc(**fields):
+    doc = {"dimension": 2, "A": [[1, 0], [0, 1]], "b": [1, 2], "objective": [0, 1],
+           "sense": "maximize"}
+    return json.dumps({**doc, **fields})
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_documents())
+# checks after A's, which the drawn documents reach less often
+@example(_doc(b=[1, True]))
+@example(_doc(b=[math.nan, 1]))
+@example(_doc(b=["1", 2]))
+@example(_doc(b=[1, 2**1024]))
+@example(_doc(objective=[0, -(2**1024)]))
+@example(_doc(objective=[0, 1, 2]))
+@example(_doc(sense="max"))
+@example(_doc(sense=None))
+def test_load_lp_matches_the_per_entry_reference(text):
+    """load_lp checks and converts each array as a whole and walks entry by
+    entry only to name a bad entry; it must give the arrays, or the
+    LoadError message, of the loader that converts every entry with
+    float()."""
+    assert _outcome(load_lp, text) == _outcome(load_reference.load_lp, text)

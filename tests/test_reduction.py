@@ -2,13 +2,17 @@
 recovery, and the status map, checked against hand-solved programs and the
 brute-force oracle."""
 
+import math
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dual_geometry import Plane, is_feasible_dual_plane
 from lpgen import bounded_lp, flat_lp, infeasible_lp, unbounded_lp
 from minmaxlp import reduction
-from minmaxlp.errors import DimensionCapError, ReductionError
+from minmaxlp.errors import DimensionCapError, ReductionError, TransformError
 from minmaxlp.minmax import (
     MinMaxResult,
     MinMaxStatus,
@@ -16,7 +20,7 @@ from minmaxlp.minmax import (
     solve_exact,
     solve_subgradient,
 )
-from minmaxlp.model import LinearProgram, SolutionStatus
+from minmaxlp.model import LinearProgram, Sense, SolutionStatus
 from minmaxlp.reduction import (
     PhaseOneStatus,
     SolveOptions,
@@ -24,9 +28,15 @@ from minmaxlp.reduction import (
     classify_and_recover,
     dual_constraint_points,
     phase1,
+    prepare,
     solve,
 )
-from minmaxlp.transforms import make_origin_strictly_feasible, rotate_problem, rotation_to_last_axis
+from minmaxlp.transforms import (
+    HouseholderRotation,
+    make_origin_strictly_feasible,
+    rotate_problem,
+    rotation_to_last_axis,
+)
 from oracle import oracle_solve
 
 ROOF = LinearProgram(
@@ -202,6 +212,82 @@ class TestSupportProblem:
             assert pieces.max() >= result.value - 1e-7  # some point is touched
             plane = Plane(np.append(result.x_star, -1.0), -t_star)  # w . x' - z = -t
             assert is_feasible_dual_plane(plane, duals)
+
+
+def _chained_support_problem(lp, p0):
+    """The support problem built through the public steps, one program each."""
+    if not lp.c.any():
+        rotation = HouseholderRotation(lp.dimension, u_hat=None)
+    else:
+        rotation = rotation_to_last_axis(lp.c if lp.sense is Sense.MAXIMIZE else -lp.c)
+    rotated = rotate_problem(make_origin_strictly_feasible(lp, p0), rotation)
+    return build_support_problem(dual_constraint_points(rotated)), rotation
+
+
+class TestPrepare:
+    def test_matches_its_helpers_bit_for_bit(self):
+        """prepare works on arrays; its pieces must carry the bits of chaining
+        the public steps, for both senses, a zero objective and an objective
+        already along the last axis (no reflection)."""
+        rng = np.random.default_rng(41)
+        seen = Counter()
+        for trial in range(200):
+            lp, x0 = bounded_lp(rng, sense="minimize" if trial % 2 else "maximize")
+            if trial % 5 == 3:
+                lp = replace(lp, c=np.zeros(lp.dimension))
+            elif trial % 5 == 4:
+                # maximize along +e_d, or minimize along -e_d
+                c = np.zeros(lp.dimension)
+                c[-1] = -2.5 if trial % 2 else 2.5
+                lp = replace(lp, c=c)
+            p0 = x0 if trial % 4 else phase1(lp).p0
+            prob, transform = prepare(lp, p0)
+            want, rotation = _chained_support_problem(lp, p0)
+            assert prob.G.shape == want.G.shape and prob.h.shape == want.h.shape
+            assert prob.G.tobytes() == want.G.tobytes(), trial
+            assert prob.h.tobytes() == want.h.tobytes(), trial
+            if rotation.u_hat is None:
+                assert transform.rotation.u_hat is None
+                kind = "unrotated" if lp.c.any() else "zero objective"
+            else:
+                assert transform.rotation.u_hat.tobytes() == rotation.u_hat.tobytes()
+                kind = "rotated"
+            seen[kind, lp.sense.value] += 1
+            np.testing.assert_array_equal(transform.p0, p0)
+        assert len(seen) == 6 and min(seen.values()) >= 15, seen
+
+    @pytest.mark.parametrize("p0, message", [
+        ([0.0, 1.0], "row 0 has margin 0.000e+00"),  # on the ceiling
+        ([1.5, 0.5 - 2.0**-40], "row 1 has margin -9.095e-13"),  # within EPS_STRICT of a wall
+        ([0.0, 3.0], "row 0 has margin 2.000e+00"),
+        ([0.0, -2.0], "row 3 has margin 1.000e+00"),
+    ])
+    def test_point_not_strictly_inside_is_rejected_as_before(self, p0, message):
+        for step in (prepare, make_origin_strictly_feasible):
+            with pytest.raises(TransformError) as exc:
+                step(ROOF, np.array(p0))
+            assert str(exc.value) == f"point is not strictly interior: {message}"
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", "0"),
+        ("tolerance", -1.0),
+        ("tolerance", 0.0),
+        ("tolerance", math.nan),
+        ("tolerance", math.inf),
+        ("tolerance", "1e-9"),
+        ("solver", "newton"),
+    ])
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ReductionError, match=f"^{field} must be"):
+            SolveOptions(**{field: value})
+
+    def test_good_fields_are_kept(self):
+        options = SolveOptions(seed=np.int64(3), tolerance=1, solver="subgradient")
+        assert (options.seed, options.tolerance, options.solver) == (3, 1, "subgradient")
 
 
 class TestSolve:
