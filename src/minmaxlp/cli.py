@@ -103,8 +103,8 @@ def run(args: argparse.Namespace, text: bytes, options: SolveOptions) -> tuple[i
         res = phase1(lp, options)
         doc = {
             "status": res.status.value,
-            "p0": None if res.p0 is None else [float(v) for v in res.p0],
-            "margin": None if res.margin is None else float(res.margin),
+            "p0": [float(v) for v in res.p0],
+            "margin": float(res.margin),
         }
         code = EXIT_OK if res.status is PhaseOneStatus.STRICT_INTERIOR else EXIT_INFEASIBLE
         return code, _dumps(doc)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .model import LinearProgram, Solution, SolutionStatus
-from .reduction import dual_constraint_points
+from .reduction import _dual_points
 
 SIZE = 800
 PAD = 1.2
@@ -109,7 +109,7 @@ def render_svg(lp: LinearProgram, solution: Solution | None = None) -> bytes:
         norm = float(np.linalg.norm(row))
         rows.append((a0, a1, norm, _line_geometry(a0, a1, rhs, norm)))
 
-    duals = dual_constraint_points(lp) if (b > 0).all() else None
+    duals = _dual_points(A, b) if (b > 0).all() else None
     anchors = _intersections(A, b)
     if duals is not None:
         anchors = np.concatenate((anchors, duals))

@@ -52,12 +52,18 @@ class PhaseOneResult:
     """Outcome of the interior-point search.
 
     ``margin`` is max(A p0 - b) at the returned point: strictly negative
-    exactly when p0 sits inside every constraint.
+    exactly when p0 sits inside every constraint.  ``status`` follows from
+    it: ``STRICT_INTERIOR`` exactly when the margin is below -EPS_STRICT.
     """
 
-    status: PhaseOneStatus
-    p0: np.ndarray | None
-    margin: float | None
+    p0: np.ndarray
+    margin: float
+
+    @property
+    def status(self) -> PhaseOneStatus:
+        if self.margin < -EPS_STRICT:
+            return PhaseOneStatus.STRICT_INTERIOR
+        return PhaseOneStatus.NO_STRICT_INTERIOR
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,14 @@ class SolveOptions:
     solver: str = "exact"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ReductionError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (isinstance(self.tolerance, numbers.Real) and 0 < self.tolerance < np.inf):
-            raise ReductionError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        # bool is an Integral and a Real, but True is no seed or tolerance
+        seed, tolerance = self.seed, self.tolerance
+        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ReductionError(f"seed must be a non-negative integer, got {seed!r}")
+        if isinstance(tolerance, bool) or not (
+            isinstance(tolerance, numbers.Real) and 0 < tolerance < np.inf
+        ):
+            raise ReductionError(f"tolerance must be positive and finite, got {tolerance!r}")
         if self.solver not in ("exact", "subgradient"):
             raise ReductionError(f"solver must be 'exact' or 'subgradient', got {self.solver!r}")
 
@@ -115,30 +125,12 @@ def phase1(lp: LinearProgram, options: SolveOptions | None = None) -> PhaseOneRe
             pulled_margin = float((lp.A @ pulled - lp.b).max())
             if pulled_margin < -EPS_STRICT:
                 p0, margin = pulled, pulled_margin
-    if margin < -EPS_STRICT:
-        return PhaseOneResult(PhaseOneStatus.STRICT_INTERIOR, p0, margin)
-    return PhaseOneResult(PhaseOneStatus.NO_STRICT_INTERIOR, p0, margin)
-
-
-def dual_constraint_points(lp: LinearProgram) -> np.ndarray:
-    """Dual points -A_i / b_i of the constraint planes, in row order.
-
-    Requires every offset positive, i.e. the origin strictly inside; that is
-    what the translation step guarantees.
-    """
-    bad = np.flatnonzero(lp.b <= 0)
-    if bad.size:
-        row = int(bad[0])
-        raise ReductionError(
-            f"row {row}: offset must be positive before dualizing, got {lp.b[row]!r}; "
-            "translate a strict interior point to the origin first"
-        )
-    duals = _dual_points(lp.A, lp.b)
-    duals.setflags(write=False)
-    return duals
+    return PhaseOneResult(p0, margin)
 
 
 def _dual_points(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dual points -A_i / b_i of the constraint planes, in row order; each
+    offset b_i must be positive, i.e. the origin strictly inside."""
     return -A / b[:, None]
 
 
@@ -226,13 +218,16 @@ def check_interior(
 
 def prepare(lp: LinearProgram, p0: np.ndarray) -> tuple[PiecewiseMaxProblem, ProblemTransform]:
     """Reduce ``lp`` to its support-plane problem around the interior point
-    ``p0``: flip a minimize objective, translate ``p0`` to the origin, rotate
-    the objective onto the last axis and dualize the constraints.  An
-    all-zero objective has no direction to rotate, so it is left unrotated.
-    The transform maps the reduced coordinates back to the original ones.
-    It builds no intermediate program: its array steps are those behind
-    :func:`make_origin_strictly_feasible`, :func:`rotate_problem` and
-    :func:`dual_constraint_points`, so its pieces and errors are theirs."""
+    ``p0``; the one route from a program to that problem.
+
+    On the program's arrays, with no intermediate program: flip a minimize
+    objective, translate ``p0`` to the origin (offsets b - A p0), rotate the
+    objective onto the last axis and dualize each reduced constraint plane
+    a . y <= beta into the point -a / beta.  An all-zero objective has no
+    direction to rotate, so it is left unrotated.  Raises :class:`TransformError` when ``p0`` has the
+    wrong length, is not finite or is not strictly inside, naming the first
+    row within ``EPS_STRICT`` of it.  The transform maps the reduced
+    coordinates back to the original ones."""
     offsets = _translated_offsets(lp, p0)
     if lp.c.any():
         rotation = rotation_to_last_axis(lp.c if lp.sense is Sense.MAXIMIZE else -lp.c)

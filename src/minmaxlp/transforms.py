@@ -1,15 +1,17 @@
 """Coordinate changes that normalize an LP before the dual reduction.
 
-Two steps: translate a strictly feasible point to the origin (so every
-constraint offset becomes positive), then rotate the objective onto the last
-coordinate axis.  The rotation is a Householder reflection with its first row
-negated, which fixes the determinant at +1 while still sending c/||c|| to e_d;
-it is applied implicitly in O(d) per vector.
+The reduced coordinates are y = R (x - p0): a strictly feasible point p0
+moves to the origin, so every constraint offset b - A p0 is positive, and
+the rotation R sends the objective onto the last coordinate axis.  R is a
+Householder reflection with its first row negated, which fixes the
+determinant at +1 while still sending c/||c|| to e_d; it is applied
+implicitly in O(d) per vector.  ``reduction.prepare`` runs both steps on the
+program's arrays; :func:`recover_solution` maps a reduced point back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,15 +53,6 @@ class HouseholderRotation:
             R -= 2.0 * np.outer(self.u_hat, self.u_hat)
             R[0] = -R[0]
         return R
-
-
-def make_origin_strictly_feasible(lp: LinearProgram, p0: np.ndarray) -> LinearProgram:
-    """Translate ``lp`` so that the interior point ``p0`` becomes the origin.
-
-    The shifted program has b' = b - A p0, which is strictly positive; raises
-    :class:`TransformError` naming the first violated row when ``p0`` is not
-    strictly inside."""
-    return replace(lp, b=_translated_offsets(lp, p0))
 
 
 def _translated_offsets(lp: LinearProgram, p0: np.ndarray) -> np.ndarray:
@@ -119,19 +112,6 @@ def _rotate_rows(rows: np.ndarray, u_hat: np.ndarray, inverse: bool = False) -> 
     if not inverse:
         out[:, 0] = -out[:, 0]
     return out
-
-
-def rotate_problem(lp: LinearProgram, rotation: HouseholderRotation) -> LinearProgram:
-    """Rotate coordinates so the objective points along the last axis.
-
-    Constraint rows rotate like points (y = R x turns pi . x <= beta into
-    (R pi) . y <= beta); offsets are untouched.
-    """
-    if rotation.d != lp.dimension:
-        raise TransformError(
-            f"rotation is {rotation.d}-dimensional but the program has dimension {lp.dimension}"
-        )
-    return replace(lp, A=apply_rotation(rotation, lp.A), c=apply_rotation(rotation, lp.c))
 
 
 @dataclass(frozen=True, eq=False)

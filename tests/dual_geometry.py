@@ -5,9 +5,9 @@ with ``sigma != 0`` dualizes to the point ``-pi / sigma``.  Both maps are
 involutions (up to the scale freedom of plane coefficients), and they preserve
 which side of a plane a point lies on relative to the origin.
 
-The pipeline computes its dual points directly
-(``minmaxlp.reduction.dual_constraint_points``); these helpers state the
-duality in general so that the tests can check what the reduction relies on.
+The pipeline computes its dual points directly, as -A_i / b_i inside
+``minmaxlp.reduction.prepare``; these helpers state the duality in general
+so that the tests can check what the reduction relies on.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 ``minmaxlp.figure.render_svg`` now writes the same document as text, from
 float arrays and Python floats; this copy is kept unchanged so that
-``tests/test_figure.py`` can check that both give the same bytes.  Call it
-as ``render_svg(lp, solution)``.
+``tests/test_figure.py`` can check that both give the same bytes.  Its dual
+points come from ``tests/transform_reference.py``, not from the code it
+checks.  Call it as ``render_svg(lp, solution)``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from minmaxlp.errors import GeometryError
 from minmaxlp.model import LinearProgram, Solution, SolutionStatus
-from minmaxlp.reduction import dual_constraint_points
+from transform_reference import dual_constraint_points
 
 SIZE = 800
 PAD = 1.2

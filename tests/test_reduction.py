@@ -22,22 +22,22 @@ from minmaxlp.minmax import (
 )
 from minmaxlp.model import LinearProgram, Sense, SolutionStatus
 from minmaxlp.reduction import (
+    PhaseOneResult,
     PhaseOneStatus,
     SolveOptions,
     build_support_problem,
     classify_and_recover,
-    dual_constraint_points,
     phase1,
     prepare,
     solve,
 )
-from minmaxlp.transforms import (
-    HouseholderRotation,
+from minmaxlp.transforms import EPS_STRICT, HouseholderRotation, rotation_to_last_axis
+from oracle import oracle_solve
+from transform_reference import (
+    dual_constraint_points,
     make_origin_strictly_feasible,
     rotate_problem,
-    rotation_to_last_axis,
 )
-from oracle import oracle_solve
 
 ROOF = LinearProgram(
     dimension=2,
@@ -45,6 +45,7 @@ ROOF = LinearProgram(
     b=[1.0, 2.0, 2.0, 1.0],
     c=[0.0, 1.0],
 )  # ceiling plus two slanted walls and a floor; top edge at y = 1
+ROOF_DUALS = [[0.0, -1.0], [-0.5, -0.5], [0.5, -0.5], [0.0, 1.0]]  # -A_i / b_i
 
 # bounded programs whose phase-1 margin max(A p - b) has no minimum, with
 # their optima: the ceiling y <= 1 and the quadrant x <= 1, y <= 1
@@ -111,6 +112,12 @@ class TestPhase1:
         assert res.status is PhaseOneStatus.STRICT_INTERIOR
         assert (lp.A @ res.p0 < lp.b).all()
 
+    def test_status_follows_the_margin(self):
+        p0 = np.zeros(2)
+        assert PhaseOneResult(p0, -2 * EPS_STRICT).status is PhaseOneStatus.STRICT_INTERIOR
+        for margin in (-EPS_STRICT, 0.0, 1.0):
+            assert PhaseOneResult(p0, margin).status is PhaseOneStatus.NO_STRICT_INTERIOR
+
     @pytest.mark.parametrize("lp, x_star", NO_DEEPEST_POINT)
     def test_exact_witness_is_the_backend_minimizer(self, lp, x_star):
         # the witness sits on the exact backend's doubled box, so it is
@@ -137,26 +144,22 @@ class TestPhase1:
 
 
 class TestDualPoints:
-    def test_roof_duals(self):
-        np.testing.assert_allclose(
-            dual_constraint_points(ROOF),
-            [[0.0, -1.0], [-0.5, -0.5], [0.5, -0.5], [0.0, 1.0]],
-        )
+    # ROOF's objective is e_d, so prepare around the origin only dualizes
 
-    def test_rejects_nonpositive_offset(self):
-        lp = LinearProgram(dimension=2, A=[[0.0, 1.0], [1.0, 0.0]], b=[1.0, 0.0], c=[0.0, 1.0])
-        with pytest.raises(ReductionError, match="row 1"):
-            dual_constraint_points(lp)
+    def test_roof_duals(self):
+        prob, _ = prepare(ROOF, np.zeros(2))
+        np.testing.assert_allclose(np.column_stack((prob.G, -prob.h)), ROOF_DUALS)
 
     def test_duals_are_readonly(self):
-        duals = dual_constraint_points(ROOF)
-        with pytest.raises(ValueError):
-            duals[0, 0] = 5.0
+        prob, _ = prepare(ROOF, np.zeros(2))
+        for pieces in (prob.G, prob.h):
+            with pytest.raises(ValueError):
+                pieces[0] = 5.0
 
 
 class TestSupportProblem:
     def test_pieces_split_slope_and_height(self):
-        prob = build_support_problem(dual_constraint_points(ROOF))
+        prob = build_support_problem(np.array(ROOF_DUALS))
         np.testing.assert_allclose(prob.G, [[0.0], [-0.5], [0.5], [0.0]])
         np.testing.assert_allclose(prob.h, [1.0, 0.5, 0.5, -1.0])
 
@@ -167,7 +170,7 @@ class TestSupportProblem:
             build_support_problem(np.array([[1.0], [2.0]]))
 
     def test_roof_intercept_and_recovery(self):
-        prob = build_support_problem(dual_constraint_points(ROOF))
+        prob = build_support_problem(np.array(ROOF_DUALS))
         result = solve_exact(prob, seed=0)
         assert result.value == pytest.approx(1.0, abs=1e-9)  # t* = -1
         status, point = classify_and_recover(prob, result)
@@ -184,7 +187,7 @@ class TestSupportProblem:
         assert point is None
 
     def test_result_must_certify(self):
-        prob = build_support_problem(dual_constraint_points(ROOF))
+        prob = build_support_problem(np.array(ROOF_DUALS))
         fake = MinMaxResult(
             status=MinMaxStatus.MINIMIZED,
             x_star=np.zeros(1),
@@ -215,7 +218,7 @@ class TestSupportProblem:
 
 
 def _chained_support_problem(lp, p0):
-    """The support problem built through the public steps, one program each."""
+    """The support problem built through the reference steps, one program each."""
     if not lp.c.any():
         rotation = HouseholderRotation(lp.dimension, u_hat=None)
     else:
@@ -227,8 +230,8 @@ def _chained_support_problem(lp, p0):
 class TestPrepare:
     def test_matches_its_helpers_bit_for_bit(self):
         """prepare works on arrays; its pieces must carry the bits of chaining
-        the public steps, for both senses, a zero objective and an objective
-        already along the last axis (no reflection)."""
+        the reference steps, for both senses, a zero objective and an
+        objective already along the last axis (no reflection)."""
         rng = np.random.default_rng(41)
         seen = Counter()
         for trial in range(200):
@@ -268,17 +271,31 @@ class TestPrepare:
                 step(ROOF, np.array(p0))
             assert str(exc.value) == f"point is not strictly interior: {message}"
 
+    @pytest.mark.parametrize("p0, message", [
+        ([0.0, 0.0, 0.0], "interior point must have 2 coordinates"),
+        ([0.0], "interior point must have 2 coordinates"),
+        ([0.0, math.nan], "interior point must be finite"),
+        ([-math.inf, 0.0], "interior point must be finite"),
+    ])
+    def test_malformed_point_is_rejected_as_before(self, p0, message):
+        for step in (prepare, make_origin_strictly_feasible):
+            with pytest.raises(TransformError) as exc:
+                step(ROOF, np.array(p0))
+            assert str(exc.value) == message
+
 
 class TestSolveOptions:
     @pytest.mark.parametrize("field, value", [
         ("seed", -1),
         ("seed", 1.5),
         ("seed", "0"),
+        ("seed", True),
         ("tolerance", -1.0),
         ("tolerance", 0.0),
         ("tolerance", math.nan),
         ("tolerance", math.inf),
         ("tolerance", "1e-9"),
+        ("tolerance", True),
         ("solver", "newton"),
     ])
     def test_bad_field_is_named(self, field, value):

@@ -1,58 +1,67 @@
 """Translation and rotation tests: exact small cases plus randomized
-orthogonality / round-trip properties."""
+orthogonality / round-trip properties.  The translation and the rotation of
+a program are checked through ``prepare``, the one path that applies them."""
 
 import numpy as np
 import pytest
 
-from minmaxlp import LinearProgram, Sense
+from minmaxlp import LinearProgram
 from minmaxlp.errors import TransformError
+from minmaxlp.reduction import prepare
 from minmaxlp.transforms import (
     HouseholderRotation,
     ProblemTransform,
     apply_rotation,
-    make_origin_strictly_feasible,
     recover_solution,
-    rotate_problem,
     rotation_to_last_axis,
 )
 
 
-def square_lp():
+def square_lp(c=(1, 1)):
     return LinearProgram(
         dimension=2,
         A=[[1, 0], [-1, 0], [0, 1], [0, -1]],
         b=[1, 1, 1, 1],
-        c=[1, 1],
+        c=c,
     )
 
 
+def duals(prob):
+    """The dual points behind a support problem: (G, -h) side by side."""
+    return np.column_stack((prob.G, -prob.h))
+
+
 class TestTranslation:
+    # c = e_d needs no rotation, so the dual points are -A_i / (b - A p0)_i
+
     def test_shifts_offsets(self):
-        shifted = make_origin_strictly_feasible(square_lp(), np.array([0.5, 0.25]))
-        np.testing.assert_allclose(shifted.b, [0.5, 1.5, 0.75, 1.25])
-        np.testing.assert_array_equal(shifted.A, square_lp().A)
-        assert (shifted.b > 0).all()
+        lp = square_lp(c=(0, 1))
+        prob, transform = prepare(lp, np.array([0.5, 0.25]))
+        offsets = np.array([0.5, 1.5, 0.75, 1.25])
+        np.testing.assert_allclose(duals(prob), -lp.A / offsets[:, None])
+        np.testing.assert_array_equal(transform.p0, [0.5, 0.25])
 
     def test_corner_square(self):
-        lp = LinearProgram(dimension=2, A=[[1, 0], [0, 1], [-1, 0], [0, -1]], b=[2, 2, 0, 0], c=[1, 0])
-        shifted = make_origin_strictly_feasible(lp, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(shifted.b, [1.0, 1.0, 1.0, 1.0])
+        lp = LinearProgram(dimension=2, A=[[1, 0], [0, 1], [-1, 0], [0, -1]], b=[2, 2, 0, 0], c=[0, 1])
+        prob, _ = prepare(lp, np.array([1.0, 1.0]))
+        np.testing.assert_allclose(duals(prob), -lp.A)
 
     def test_zero_shift_when_origin_already_inside(self):
-        shifted = make_origin_strictly_feasible(square_lp(), np.zeros(2))
-        np.testing.assert_array_equal(shifted.b, square_lp().b)
+        lp = square_lp(c=(0, 1))
+        prob, _ = prepare(lp, np.zeros(2))
+        np.testing.assert_array_equal(duals(prob), -lp.A / lp.b[:, None])
 
     def test_boundary_point_rejected_naming_row(self):
         with pytest.raises(TransformError, match="row 0"):
-            make_origin_strictly_feasible(square_lp(), np.array([1.0, 0.0]))
+            prepare(square_lp(), np.array([1.0, 0.0]))
 
     def test_exterior_point_rejected(self):
         with pytest.raises(TransformError):
-            make_origin_strictly_feasible(square_lp(), np.array([3.0, 0.0]))
+            prepare(square_lp(), np.array([3.0, 0.0]))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(TransformError):
-            make_origin_strictly_feasible(square_lp(), np.array([0.0, 0.0, 0.0]))
+            prepare(square_lp(), np.array([0.0, 0.0, 0.0]))
 
 
 class TestRotation:
@@ -126,22 +135,21 @@ class TestRotation:
 
 class TestRotateProblem:
     def test_single_row_example(self):
+        # x <= 1 with c = e_1 turns into y_2 <= 1: dual point (0, -1)
         lp = LinearProgram(dimension=2, A=[[1, 0]], b=[1], c=[1, 0])
-        rotated = rotate_problem(lp, rotation_to_last_axis(lp.c))
-        np.testing.assert_allclose(rotated.A, [[0.0, 1.0]], atol=1e-15)
-        np.testing.assert_allclose(rotated.c, [0.0, 1.0], atol=1e-15)
+        prob, transform = prepare(lp, np.zeros(2))
+        np.testing.assert_allclose(duals(prob), [[0.0, -1.0]], atol=1e-15)
+        np.testing.assert_allclose(apply_rotation(transform.rotation, lp.c), [0.0, 1.0], atol=1e-15)
 
     def test_identity_rotation_preserves_problem(self):
         lp = LinearProgram(dimension=2, A=[[1, 2]], b=[1], c=[0, 3])
-        rotated = rotate_problem(lp, rotation_to_last_axis(lp.c))
-        np.testing.assert_array_equal(rotated.A, lp.A)
-        np.testing.assert_array_equal(rotated.c, lp.c)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(TransformError, match="dimension"):
-            rotate_problem(square_lp(), rotation_to_last_axis(np.array([1.0, 0.0, 0.0])))
+        prob, transform = prepare(lp, np.zeros(2))
+        assert transform.rotation.u_hat is None
+        np.testing.assert_array_equal(duals(prob), -lp.A)
 
     def test_feasibility_preserved(self):
+        # the dual point q_i of row i meets the rotated point R x at
+        # q_i . R x = -(A_i . x) / b_i
         rng = np.random.default_rng(12)
         for _ in range(50):
             d = int(rng.integers(2, 6))
@@ -152,20 +160,20 @@ class TestRotateProblem:
                 b=rng.random(n) + 0.5,
                 c=rng.standard_normal(d),
             )
-            rotation = rotation_to_last_axis(lp.c)
-            rotated = rotate_problem(lp, rotation)
+            prob, transform = prepare(lp, np.zeros(d))
             x = rng.standard_normal(d)
             np.testing.assert_allclose(
-                rotated.A @ apply_rotation(rotation, x), lp.A @ x, atol=1e-9
+                duals(prob) @ apply_rotation(transform.rotation, x), -(lp.A @ x) / lp.b, atol=1e-9
             )
-            np.testing.assert_array_equal(rotated.b, lp.b)
 
     def test_objective_lands_on_last_axis(self):
-        lp = square_lp()
-        rotated = rotate_problem(lp, rotation_to_last_axis(lp.c))
-        np.testing.assert_allclose(rotated.c[:-1], 0.0, atol=1e-12)
-        assert rotated.c[-1] == pytest.approx(np.sqrt(2.0))
-        assert rotated.sense is Sense.MAXIMIZE
+        # a minimize objective is flipped first, so -c lands on +e_d
+        for sense, sign in (("maximize", 1.0), ("minimize", -1.0)):
+            lp = LinearProgram(dimension=2, A=square_lp().A, b=square_lp().b, c=[1, 1], sense=sense)
+            _, transform = prepare(lp, np.zeros(2))
+            rotated = apply_rotation(transform.rotation, sign * lp.c)
+            np.testing.assert_allclose(rotated[:-1], 0.0, atol=1e-12)
+            assert rotated[-1] == pytest.approx(np.sqrt(2.0))
 
 
 def reduced(transform, x):
