@@ -137,7 +137,11 @@ def run(args: argparse.Namespace, text: bytes, options: SolveOptions) -> tuple[i
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "reduce" and args.stage == "phase1" and args.interior_point is not None:
+        # that stage dumps the raw program, which no point changes
+        parser.error("--interior-point does not apply to --stage phase1")
     try:
         options = SolveOptions(seed=args.seed, tolerance=args.tolerance, solver=args.solver)
     except ReductionError as exc:  # its message starts with the field's name, the flag's too

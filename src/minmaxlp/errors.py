@@ -13,8 +13,8 @@ class LoadError(LPError):
 
 
 class GeometryError(LPError):
-    """A duality or incidence operation was applied outside its domain
-    (zero point, plane through the origin, vertical plane)."""
+    """A figure was asked of a program it cannot draw: ``render_svg`` takes
+    two-dimensional programs only."""
 
 
 class TransformError(LPError):

@@ -12,7 +12,8 @@ all of those subproblems have one to three variables, so those levels build
 no list per row: the three-variable level keeps its rows in flat columns and
 normalizes its two-variable subproblems' rows as it eliminates, and the
 two-variable level solves its one-variable subproblems in place, each with
-the same arithmetic as the general recursion and so the same bits.  Orders
+the arithmetic, and so the bits, of the plain list recursion kept in
+``tests/seidel_list_reference.py``.  Orders
 are drawn by shuffling lists, the same draws as ``rng.permutation`` at a
 third of the cost.  The iterative one takes Polyak subgradient steps toward
 a slowly lowered target level and scales to any dimension at the price of
@@ -60,8 +61,8 @@ class PiecewiseMaxProblem:
     def __post_init__(self) -> None:
         G = np.array(self.G, dtype=float)
         h = np.array(self.h, dtype=float)
-        if G.ndim != 2 or G.shape[0] < 1:
-            raise SolverError("G must be a matrix with at least one row")
+        if G.ndim != 2 or 0 in G.shape:
+            raise SolverError("G must be a matrix with at least one row and one column")
         if h.shape != (G.shape[0],):
             raise SolverError("h must have one entry per row of G")
         if not (np.isfinite(G).all() and np.isfinite(h).all()):
@@ -102,49 +103,22 @@ def evaluate(prob: PiecewiseMaxProblem, x: np.ndarray) -> tuple[float, int]:
     return float(values[index]), index
 
 
-def _active_set(prob: PiecewiseMaxProblem, x: np.ndarray, value: float) -> tuple[int, ...]:
-    return _active_pieces(prob.G @ x + prob.h, value)
-
-
-def _active_pieces(values: np.ndarray, value: float) -> tuple[int, ...]:
-    """Indices of the pieces whose ``values`` lie within ACTIVE_TOL of ``value``."""
-    return tuple(np.flatnonzero(values >= value - ACTIVE_TOL * (1 + abs(value))).tolist())
+def _result(prob: PiecewiseMaxProblem, x: np.ndarray,
+            status: MinMaxStatus = MinMaxStatus.MINIMIZED, **fields) -> MinMaxResult:
+    """The result at ``x``, from one evaluation of every piece: ``value`` is
+    max(G x + h), and ``active_set`` the pieces within ACTIVE_TOL of it."""
+    values = prob.G @ x + prob.h
+    value = float(values[int(np.argmax(values))])
+    active = np.flatnonzero(values >= value - ACTIVE_TOL * (1 + abs(value)))
+    return MinMaxResult(status, x, value, tuple(active.tolist()), **fields)
 
 
 # ---------------------------------------------------------------------------
 # exact backend: randomized incremental LP on the epigraph
 
 
-def _solve_interval(A: list, b: list, c0: float, lo: float, hi: float, tol: float):
-    """One-variable base case: intersect half-lines, then optimize.
-
-    A row (a) normalizes to (a/|a|, rhs/|a|), whose bound is exactly rhs/a,
-    so the rows are used as given after the same vacuous-row test as
-    :func:`_seidel`'s.
-    """
-    for (a,), rhs in zip(A, b):
-        if abs(a) <= 1e-13:
-            if rhs < -tol:
-                return None  # 0 . x <= negative: inconsistent
-        elif a > 0:
-            hi = min(hi, rhs / a)
-        else:
-            lo = max(lo, rhs / a)
-    if lo > hi + tol * (1 + abs(lo) + abs(hi)):
-        return None
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    if abs(c0) <= TIE_TOL:
-        x = min(max(0.0, lo), hi)
-    elif c0 > 0:
-        x = lo
-    else:
-        x = hi
-    return [x]
-
-
 def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
-            tol: float, counts: list | None = None):
+            tol: float, counts: list):
     """Minimize c . x over {A x <= b, lo <= x <= hi}, or None when the
     half-spaces are (numerically) inconsistent.
 
@@ -160,11 +134,7 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     included.
     """
     dim = len(c)
-    if counts is None:
-        counts = [0] * (dim + 1)
     counts[dim] += 1
-    if dim == 1:
-        return _solve_interval(A, b, c[0], lo[0], hi[0], tol)
     if dim == 2:
         return _seidel_plane(A, b, c, lo, hi, rng, tol, counts)
     if dim == 3:
@@ -230,9 +200,9 @@ def _seidel_space(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.
     flat lists.  On a violation one pass eliminates the pivot and normalizes
     each earlier row, and the two box rows of the eliminated coordinate, as
     its two-variable subproblem would, then hands those columns straight to
-    :func:`_plane_loop`.  Each operation is the one :func:`_seidel` and
-    :func:`_seidel_plane` would do, in the same order, so every decision and
-    every bit of the answer is theirs.
+    :func:`_plane_loop`.  Each operation is the one the plain recursion of
+    ``tests/seidel_list_reference.py`` does, in the same order, so every
+    decision and every bit of the answer are the reference's.
     """
     p, q, r, w = [], [], [], []
     for (a0, a1, a2), rhs in zip(A, b):
@@ -340,10 +310,11 @@ def _plane_loop(u: list, v: list, w: list, c: list, lo: list, hi: list,
                 rng: np.random.Generator, tol: float, counts: list):
     """Minimize c . x over the normalized rows (u, v) . x <= w and the box,
     its one-variable subproblems solved in place: on a violation one loop
-    eliminates the pivot and intersects the half-lines, building no rows
-    and calling no :func:`_solve_interval`.  Each operation is the one
-    those two would do, in the same order, so every decision and every bit
-    of the answer is theirs.  Appends the box to ``u``, ``v`` and ``w``.
+    eliminates the pivot and intersects the half-lines, building no rows.
+    Each operation is the one the plain recursion of
+    ``tests/seidel_list_reference.py`` does (its elimination, then its
+    interval solve), in the same order, so every decision and every bit of
+    the answer are the reference's.  Appends the box to ``u``, ``v`` and ``w``.
     """
     # the box as four rows x_0 <= hi_0, -x_0 <= -lo_0, x_1 <= hi_1,
     # -x_1 <= -lo_1, which the elimination turns into exactly the two box
@@ -463,17 +434,9 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
             status, x = MinMaxStatus.UNBOUNDED_BELOW, x2
         elif t2 <= t:
             x, t = x2, t2
-    # the value and the active set come from one evaluation of every piece
-    values = prob.G @ x + prob.h
-    value = float(values[int(np.argmax(values))])
-    return MinMaxResult(
-        status=status,
-        x_star=x,
-        value=value,
-        active_set=_active_pieces(values, value),
-        stats={"subproblems": {k: counts[k] for k in range(1, len(counts))},
-               "box_doublings": int(box_active)},
-    )
+    return _result(prob, x, status,
+                   stats={"subproblems": {k: counts[k] for k in range(1, len(counts))},
+                          "box_doublings": int(box_active)})
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +476,7 @@ def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> Min
 
     if not prob.G.any():
         # every piece is constant; the start point is already optimal
-        return MinMaxResult(
-            status=MinMaxStatus.MINIMIZED,
-            x_star=x_best,
-            value=f_best,
-            active_set=_active_set(prob, x_best, f_best),
-        )
+        return _result(prob, x_best)
 
     delta = 0.5 * (1.0 + abs(f_best))
     level_best = f_best
@@ -544,13 +502,7 @@ def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> Min
         if f < f_best:
             f_best, x_best = f, x.copy()
         if f_best < UNBOUNDED_VALUE:
-            return MinMaxResult(
-                status=MinMaxStatus.UNBOUNDED_BELOW,
-                x_star=x_best,
-                value=f_best,
-                active_set=_active_set(prob, x_best, f_best),
-                converged=False,
-            )
+            return _result(prob, x_best, MinMaxStatus.UNBOUNDED_BELOW, converged=False)
         gg = row_norms[argmax]
         if gg == 0.0:
             # a constant piece is the max: its value floors the function
@@ -577,10 +529,4 @@ def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> Min
             converged = True
             break
 
-    return MinMaxResult(
-        status=MinMaxStatus.MINIMIZED,
-        x_star=x_best,
-        value=f_best,
-        active_set=_active_set(prob, x_best, f_best),
-        converged=converged,
-    )
+    return _result(prob, x_best, converged=converged)

@@ -208,7 +208,10 @@ def check_interior(
         if ph.status is PhaseOneStatus.NO_STRICT_INTERIOR:
             return SolutionStatus.INFEASIBLE
         return ph.p0
-    p0 = np.asarray(hint, dtype=float)
+    try:
+        p0 = np.asarray(hint, dtype=float)
+    except (TypeError, ValueError):  # entries that are not numbers
+        return SolutionStatus.INPUT_ERROR
     if p0.shape != (lp.dimension,) or not np.isfinite(p0).all():
         return SolutionStatus.INPUT_ERROR
     if float((lp.A @ p0 - lp.b).max()) >= -EPS_STRICT:

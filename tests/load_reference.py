@@ -5,12 +5,27 @@ own: every number of a document passes through ``_require_number``.
 walks entry by entry only to name the first bad entry, so it must return the
 same arrays or raise the same :class:`LoadError` message as this copy, which
 is kept unchanged for ``tests/test_model.py`` to compare against.
+``_parse_json`` is a verbatim copy of the library's, so the reference shares
+no private code with what it checks.
 """
 
+import json
 import math
 
 from minmaxlp.errors import LoadError
-from minmaxlp.model import LinearProgram, Sense, _parse_json, validate
+from minmaxlp.model import LinearProgram, Sense, validate
+
+
+def _parse_json(text: bytes | str):
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"not UTF-8 text: {exc}") from exc
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise LoadError(f"invalid JSON: {exc}") from exc
 
 
 def _require_number(value, where: str) -> float:

@@ -4,21 +4,29 @@ preallocated buffers.
 ``minmaxlp.minmax.solve_subgradient`` now fills reused arrays in place and
 calls no helper per step; this copy is kept unchanged so that
 ``tests/test_minmax.py`` can check that both produce bit-identical iterates.
+Its active-set rule is a copy too, so it shares no private code with the
+library.
 Call it as ``solve_subgradient(prob, tolerance)`` like the library function.
 """
 
 import numpy as np
 
 from minmaxlp.minmax import (
+    ACTIVE_TOL,
     LEVEL_PATIENCE,
     MAX_ITERS,
     UNBOUNDED_VALUE,
     MinMaxResult,
     MinMaxStatus,
     PiecewiseMaxProblem,
-    _active_set,
     evaluate,
 )
+
+
+def _active_set(prob: PiecewiseMaxProblem, x: np.ndarray, value: float) -> tuple[int, ...]:
+    """Indices of the pieces within ACTIVE_TOL of ``value`` at ``x``."""
+    values = prob.G @ x + prob.h
+    return tuple(np.flatnonzero(values >= value - ACTIVE_TOL * (1 + abs(value))).tolist())
 
 
 def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> MinMaxResult:

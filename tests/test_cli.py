@@ -174,12 +174,17 @@ class TestPhase1Command:
         assert doc["status"] == "no_strict_interior"
         assert abs(doc["margin"]) <= 1e-9
 
-    def test_interior_point_flag_is_rejected(self, tmp_path):
-        # phase1 searches for the point itself, so it takes no hint
-        with pytest.raises(SystemExit) as exc:
-            run_cli(tmp_path, "phase1", "--input", str(DATA / "bounded.json"),
-                    "--interior-point", "9,9")
-        assert exc.value.code == 4
+    def test_interior_point_flag_is_rejected(self, tmp_path, capsys):
+        # phase1 searches for the point itself, so it takes no hint; nor
+        # does reduce's phase1 stage, well-formed point or not
+        for argv in (["phase1"], ["reduce", "--stage", "phase1"]):
+            for point in ("9,9", "5,5", "x"):
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(tmp_path, *argv, "--input", str(DATA / "bounded.json"),
+                            f"--interior-point={point}")
+                assert exc.value.code == 4
+                assert not (tmp_path / "out").exists()
+        assert "--interior-point does not apply to --stage phase1" in capsys.readouterr().err
 
 
 class TestReduce:

@@ -52,6 +52,11 @@ class TestConstruction:
         with pytest.raises(SolverError):
             PiecewiseMaxProblem(G=np.zeros((0, 2)), h=np.zeros(0))
 
+    def test_zero_columns_rejected(self):
+        # no stage builds a function of no variables
+        with pytest.raises(SolverError, match="column"):
+            PiecewiseMaxProblem(G=np.zeros((3, 0)), h=[1.0, 2.0, 3.0])
+
     def test_offset_mismatch_rejected(self):
         with pytest.raises(SolverError):
             PiecewiseMaxProblem(G=[[1.0]], h=[1.0, 2.0])
@@ -99,15 +104,29 @@ class TestSolveExact:
             solve_exact(prob, seed=0)
 
     def test_value_matches_evaluate(self):
+        """Both backends report the max at their point exactly, and as active
+        the pieces within ACTIVE_TOL of it, whatever the status."""
         rng = np.random.default_rng(20)
-        for trial in range(30):
+        probs = []
+        for _ in range(30):
             d = int(rng.integers(1, 4))
             m = int(rng.integers(2, 9))
-            prob = PiecewiseMaxProblem(rng.standard_normal((m, d)), rng.standard_normal(m))
-            result = solve_exact(prob, seed=trial)
-            if result.status is MinMaxStatus.MINIMIZED:
+            probs.append(PiecewiseMaxProblem(rng.standard_normal((m, d)), rng.standard_normal(m)))
+        # runaway descent, and a constant piece that is the maximum
+        probs.append(PiecewiseMaxProblem(G=[[1.0, 0.0], [0.5, -2.0]], h=[0.0, 1.0]))
+        probs.append(PiecewiseMaxProblem(G=[[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]],
+                                         h=[0.0, 0.0, 5.0]))
+        statuses = set()
+        for trial, prob in enumerate(probs):
+            for result in (solve_exact(prob, seed=trial), solve_subgradient(prob)):
                 value, _ = evaluate(prob, result.x_star)
-                assert abs(value - result.value) <= 1e-9 * (1 + abs(result.value))
+                assert result.value == value, trial
+                floor = value - minmax.ACTIVE_TOL * (1 + abs(value))
+                pieces = prob.G @ result.x_star + prob.h
+                assert result.active_set == tuple(
+                    i for i in range(prob.m) if pieces[i] >= floor), trial
+                statuses.add(result.status)
+        assert statuses == set(MinMaxStatus)
 
     def test_matches_reference_oracle(self):
         rng = np.random.default_rng(21)
@@ -259,9 +278,12 @@ def test_seidel_matches_numpy_reference():
     solved = inconsistent = diverged = 0
     for trial in range(560):
         A, b, c, lo, hi = _epigraph_instance(rng)
+        if c.size == 1:
+            continue  # the epigraph of a function of no variables
         rng_want, rng_got = np.random.default_rng(trial), np.random.default_rng(trial)
         want = seidel_reference._seidel(A, b, c, lo, hi, rng_want, 1e-9)
-        got = _seidel(A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist(), rng_got, 1e-9)
+        got = _seidel(A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist(), rng_got, 1e-9,
+                      [0] * (c.size + 1))
         diverged += rng_got.bit_generator.state != rng_want.bit_generator.state
         assert (got is None) == (want is None), trial
         if want is None:
@@ -357,7 +379,7 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     def same_answer(args, seed):
         rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
         want = seidel_list_reference._seidel(*args, rng_want, 1e-9)
-        got = _seidel(*args, rng_got, 1e-9)
+        got = _seidel(*args, rng_got, 1e-9, [0] * (len(args[2]) + 1))
         assert rng_got.bit_generator.state == rng_want.bit_generator.state, seed
         assert (got is None) == (want is None), seed
         if want is not None:

@@ -420,6 +420,8 @@ class TestInteriorHint:
             solve(ROOF, interior_hint=np.array([np.nan, 0.0])).status
             is SolutionStatus.INPUT_ERROR
         )
+        for hint in (["a", "b"], [object(), 0], [0, None]):
+            assert solve(ROOF, interior_hint=hint).status is SolutionStatus.INPUT_ERROR, hint
 
 
 class TestAgainstOracle:
