@@ -8,18 +8,18 @@ violated; it is intended for low dimension.  Its recursion works on lists of
 Python floats rather than numpy arrays: a solve makes tens to hundreds of
 recursive calls, each on a handful of rows, and numpy's fixed cost per call
 (slicing, stacking, one dispatch per row) outweighed the arithmetic.  Nearly
-all of those subproblems have one to three variables, so those levels build
-no list per row: the three-variable level keeps its rows in flat columns and
-normalizes its two-variable subproblems' rows as it eliminates, and the
+all of those subproblems have one to four variables, so those levels build
+no list per row: the four- and three-variable levels keep their rows in flat
+columns and normalize their subproblems' rows as they eliminate, and the
 two-variable level solves its one-variable subproblems in place, each with
 the arithmetic, and so the bits, of the plain list recursion kept in
-``tests/seidel_list_reference.py``.  Orders
-are drawn by shuffling lists, the same draws as ``rng.permutation`` at a
-third of the cost.  The iterative one takes Polyak subgradient steps toward
-a slowly lowered target level and scales to any dimension at the price of
-approximate answers.  Its loop works in preallocated buffers: a solve takes
-some 13,000 steps, each a handful of numpy calls on short vectors, so fresh
-arrays and Python helpers per step cost more than the arithmetic.
+``tests/seidel_list_reference.py``.  Orders are drawn by shuffling lists,
+the same draws as ``rng.permutation`` at a third of the cost.  The iterative
+one takes Polyak subgradient steps toward a slowly lowered target level and
+scales to any dimension at the price of approximate answers.  Its loop works
+in preallocated buffers: a solve takes some 13,000 steps, each a handful of
+numpy calls on short vectors, so fresh arrays and Python helpers per step
+cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -129,16 +130,15 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
 
     ``A`` is a list of rows, and ``b``, ``c``, ``lo``, ``hi`` and the
     returned ``x`` are lists of floats: each subproblem holds a handful of
-    rows, too few for numpy's fixed cost per call to pay off.  ``counts[k]``
-    is raised by one for every subproblem with k variables, this one
-    included.
+    rows, too few for numpy's fixed cost per call to pay off.  Two to four
+    variables go to the flat levels.  ``counts[k]`` is raised by one for
+    every subproblem with k variables, this one included.
     """
     dim = len(c)
     counts[dim] += 1
-    if dim == 2:
-        return _seidel_plane(A, b, c, lo, hi, rng, tol, counts)
-    if dim == 3:
-        return _seidel_space(A, b, c, lo, hi, rng, tol, counts)
+    if dim <= 4:
+        flat = _seidel_plane if dim == 2 else _seidel_space if dim == 3 else _seidel_4
+        return flat(A, b, c, lo, hi, rng, tol, counts)
     # normalize rows so pivots and violation thresholds are scale-free
     rows, rhss = [], []
     for row, rhs in zip(A, b):
@@ -161,7 +161,8 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     for position, i in enumerate(order):
         row, rhs = rows[i], rhss[i]
         slack = tol * (1 + abs(rhs)) + x_slack
-        if sum(map(mul, row, x)) <= rhs + slack:
+        # summed left to right from 0: from Python 3.12 sum() compensates
+        if reduce(add, map(mul, row, x), 0) <= rhs + slack:
             continue
         # optimum lies on row . x = rhs; eliminate the first largest coordinate
         mags = list(map(abs, row))
@@ -189,21 +190,108 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
                     counts)
         if x is None:
             return None
-        x.insert(k, beta - sum(map(mul, alpha, x)))
+        x.insert(k, beta - reduce(add, map(mul, alpha, x), 0))
         x_slack = 1e-12 * (1 + max(map(abs, x)))
     return x
 
 
+def _seidel_4(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+              tol: float, counts: list):
+    """:func:`_seidel` on four variables, its normalized rows kept in five
+    flat lists: :func:`_space_loop` one variable up, its subproblems' columns
+    handed straight to :func:`_space_loop`, with the reference's bits."""
+    p, q, r, s, w = [], [], [], [], []
+    for (a0, a1, a2, a3), rhs in zip(A, b):
+        norm = math.hypot(a0, a1, a2, a3)
+        if norm <= 1e-13:
+            if rhs < -tol:
+                return None  # 0 . x <= negative: inconsistent
+            continue  # vacuous row
+        p.append(a0 / norm)
+        q.append(a1 / norm)
+        r.append(a2 / norm)
+        s.append(a3 / norm)
+        w.append(rhs / norm)
+
+    tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]), abs(c[2]), abs(c[3]))
+    x0, x1, x2, x3 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
+                      for cj, l, h in zip(c, lo, hi)]
+    x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2), abs(x3)))
+
+    cols = (p, q, r, s)
+    order = list(range(len(w)))
+    rng.shuffle(order)
+    for position, i in enumerate(order):
+        rhs = w[i]
+        slack = tol * (1 + abs(rhs)) + x_slack
+        if p[i] * x0 + q[i] * x1 + r[i] * x2 + s[i] * x3 <= rhs + slack:
+            continue
+        counts[3] += 1
+        # x_k = beta - a0 x_j0 - a1 x_j1 - a2 x_j2, k the first largest
+        m0, m1, m2, m3 = abs(p[i]), abs(q[i]), abs(r[i]), abs(s[i])
+        if m0 >= m1 and m0 >= m2 and m0 >= m3:
+            k, j0, j1, j2 = 0, 1, 2, 3
+        elif m1 >= m2 and m1 >= m3:
+            k, j0, j1, j2 = 1, 0, 2, 3
+        elif m2 >= m3:
+            k, j0, j1, j2 = 2, 0, 1, 3
+        else:
+            k, j0, j1, j2 = 3, 0, 1, 2
+        col_k, col_0, col_1, col_2 = cols[k], cols[j0], cols[j1], cols[j2]
+        pivot = col_k[i]
+        a0 = col_0[i] / pivot
+        a1 = col_1[i] / pivot
+        a2 = col_2[i] / pivot
+        beta = rhs / pivot
+        ck = c[k]
+        sub_c = [c[j0] - ck * a0, c[j1] - ck * a1, c[j2] - ck * a2]
+
+        # each earlier row becomes a normalized row (u, v, t) . y <= z or is dropped
+        u, v, t, z = [], [], [], []
+        for e in order[:position]:
+            pk = col_k[e]
+            s0 = col_0[e] - pk * a0
+            s1 = col_1[e] - pk * a1
+            s2 = col_2[e] - pk * a2
+            rhs_e = w[e] - pk * beta
+            norm = math.hypot(s0, s1, s2)
+            if norm <= 1e-13:
+                if rhs_e < -tol:
+                    return None
+                continue
+            u.append(s0 / norm)
+            v.append(s1 / norm)
+            t.append(s2 / norm)
+            z.append(rhs_e / norm)
+        # the box on x_k: rows -a . y <= hi_k - beta and a . y <= beta - lo_k
+        upper, lower = hi[k] - beta, beta - lo[k]
+        norm = math.hypot(a0, a1, a2)
+        if norm <= 1e-13:
+            if upper < -tol or lower < -tol:
+                return None
+        else:
+            n0, n1, n2 = a0 / norm, a1 / norm, a2 / norm
+            u += [-n0, n0]
+            v += [-n1, n1]
+            t += [-n2, n2]
+            z += [upper / norm, lower / norm]
+
+        y = _space_loop(u, v, t, z, sub_c, [lo[j0], lo[j1], lo[j2]], [hi[j0], hi[j1], hi[j2]],
+                        rng, tol, counts)
+        if y is None:
+            return None
+        y0, y1, y2 = y
+        # _seidel's sums start at 0, which turns a -0.0 product into 0.0
+        y.insert(k, beta - (0 + a0 * y0 + a1 * y1 + a2 * y2))
+        x0, x1, x2, x3 = y
+        x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2), abs(x3)))
+    return [x0, x1, x2, x3]
+
+
 def _seidel_space(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
                   tol: float, counts: list):
-    """:func:`_seidel` on three variables, its normalized rows kept in four
-    flat lists.  On a violation one pass eliminates the pivot and normalizes
-    each earlier row, and the two box rows of the eliminated coordinate, as
-    its two-variable subproblem would, then hands those columns straight to
-    :func:`_plane_loop`.  Each operation is the one the plain recursion of
-    ``tests/seidel_list_reference.py`` does, in the same order, so every
-    decision and every bit of the answer are the reference's.
-    """
+    """:func:`_seidel` on three variables: normalize the rows into columns
+    for :func:`_space_loop`."""
     p, q, r, w = [], [], [], []
     for (a0, a1, a2), rhs in zip(A, b):
         norm = math.hypot(a0, a1, a2)
@@ -215,7 +303,18 @@ def _seidel_space(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.
         q.append(a1 / norm)
         r.append(a2 / norm)
         w.append(rhs / norm)
+    return _space_loop(p, q, r, w, c, lo, hi, rng, tol, counts)
 
+
+def _space_loop(p: list, q: list, r: list, w: list, c: list, lo: list, hi: list,
+                rng: np.random.Generator, tol: float, counts: list):
+    """Minimize c . x over the normalized rows (p, q, r) . x <= w and the
+    box.  On a violation one pass eliminates the pivot and normalizes each
+    earlier row, and the two box rows of the eliminated coordinate, as its
+    two-variable subproblem would, then hands those columns straight to
+    :func:`_plane_loop`.  Each operation is the one the plain recursion of
+    ``tests/seidel_list_reference.py`` does, in the same order, so every
+    decision and every bit of the answer are the reference's."""
     tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]), abs(c[2]))
     x0, x1, x2 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
                   for cj, l, h in zip(c, lo, hi)]
@@ -227,9 +326,8 @@ def _seidel_space(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.
     for position, i in enumerate(order):
         rhs = w[i]
         slack = tol * (1 + abs(rhs)) + x_slack
-        # summed left to right, as sum() does up to Python 3.11 (3.12
-        # compensates); its 0 start only changes the sign of a zero, which
-        # no comparison sees
+        # summed left to right; a 0 start would only change the sign of a
+        # zero, which no comparison sees
         if p[i] * x0 + q[i] * x1 + r[i] * x2 <= rhs + slack:
             continue
         counts[2] += 1
@@ -282,7 +380,7 @@ def _seidel_space(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.
         if y is None:
             return None
         y0, y1 = y
-        # _seidel's sum() starts at 0, which turns a -0.0 product into 0.0
+        # _seidel's sums start at 0, which turns a -0.0 product into 0.0
         y.insert(k, beta - (0 + a0 * y0 + a1 * y1))
         x0, x1, x2 = y
         x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2)))
@@ -375,7 +473,7 @@ def _plane_loop(u: list, v: list, w: list, c: list, lo: list, hi: list,
             x_j = lo_j
         else:
             x_j = hi_j
-        # _seidel's sum() starts at 0, which turns a -0.0 product into 0.0
+        # _seidel's sums start at 0, which turns a -0.0 product into 0.0
         x_k = beta - (0 + a * x_j)
         x0, x1 = (x_k, x_j) if k == 0 else (x_j, x_k)
         x_slack = 1e-12 * (1 + max(abs(x0), abs(x1)))

@@ -1,14 +1,17 @@
 """The exact backend's Seidel recursion on Python float lists, as it was
-before its two- and three-variable levels were written as flat loops.
+before its two- to four-variable levels were written as flat loops.
 
 ``minmaxlp.minmax._seidel`` must take exactly the decisions of this copy and
 return the same bits, so it is kept unchanged for ``tests/test_minmax.py``
 to compare against.  Call it as ``_seidel(A, b, c, lo, hi, rng, tol)`` with
-lists of floats and a ``numpy.random.Generator``.
+lists of floats and a ``numpy.random.Generator``.  Its dot products are
+summed left to right from 0, as ``sum()`` summed them up to Python 3.11 (from
+3.12 ``sum()`` compensates), so the bits are the same on every version.
 """
 
 import math
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -81,7 +84,7 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     for position, i in enumerate(order):
         row, rhs = rows[i], rhss[i]
         slack = tol * (1 + abs(rhs)) + x_slack
-        if sum(map(mul, row, x)) <= rhs + slack:
+        if reduce(add, map(mul, row, x), 0) <= rhs + slack:
             continue
         # optimum lies on row . x = rhs; eliminate the first largest coordinate
         mags = list(map(abs, row))
@@ -108,6 +111,6 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
         x = _seidel(sub_A, sub_b, sub_c, lo[:k] + lo[k + 1:], hi[:k] + hi[k + 1:], rng, tol)
         if x is None:
             return None
-        x.insert(k, beta - sum(map(mul, alpha, x)))
+        x.insert(k, beta - reduce(add, map(mul, alpha, x), 0))
         x_slack = 1e-12 * (1 + max(map(abs, x)))
     return x

@@ -1,6 +1,7 @@
 """Min-max solver tests: pinned small cases, oracle cross-checks, optimality
 certificates, determinism."""
 
+import builtins
 import math
 from collections import Counter
 
@@ -335,23 +336,24 @@ def _general_instance(rng):
 
 def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     """The two-variable level solves its one-variable subproblems in place,
-    and the three-variable level normalizes the rows of its two-variable
+    and the four- and three-variable levels normalize the rows of their
     subproblems in place, with the list version's arithmetic: same verdict,
     same random draws and the same bits in every answer, on instances that
-    reach each special case of the one-variable step and of the
-    three-variable elimination."""
+    reach each special case of the one-variable step and of the four- and
+    three-variable eliminations."""
     seen = Counter()
     interval = seidel_list_reference._solve_interval
     seidel = seidel_list_reference._seidel
     levels = []  # the number of variables of each enclosing call
 
     def recording_seidel(A, b, c, lo, hi, rng, tol):
-        if len(c) == 2 and levels[-1:] == [3]:
+        width = len(c) + 1
+        if width in (3, 4) and levels[-1:] == [width]:
             vacuous = [rhs < -tol for row, rhs in zip(A, b) if math.hypot(*row) <= 1e-13]
-            seen["3 variables: vacuous row kept"] += vacuous.count(False)
-            seen["3 variables: vacuous row inconsistent"] += vacuous.count(True)
-            # the last row is alpha = row_j / row_k for the two kept j
-            seen["3 variables: equal pivots"] += any(abs(a) == 1.0 for a in A[-1])
+            seen[f"{width} variables: vacuous row kept"] += vacuous.count(False)
+            seen[f"{width} variables: vacuous row inconsistent"] += vacuous.count(True)
+            # the last row is alpha = row_j / row_k for the kept j
+            seen[f"{width} variables: equal pivots"] += any(abs(a) == 1.0 for a in A[-1])
         levels.append(len(c))
         try:
             return seidel(A, b, c, lo, hi, rng, tol)
@@ -411,7 +413,45 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     for trial in range(300, 340):
         A, b, c, lo, hi = _epigraph_instance(rng, n=3, rows=(40, 200))
         same_answer((A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
-    assert min(seen.values()) >= 5 and len(seen) == 8, seen
+    # four variables and 20-40 rows: phase 1 of a three-dimensional program
+    for trial in range(340, 380):
+        A, b, c, lo, hi = _epigraph_instance(rng, n=4, rows=(20, 40))
+        same_answer((A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
+    assert min(seen.values()) >= 5 and len(seen) == 11, seen
+
+
+def test_seidel_bits_do_not_depend_on_sum(monkeypatch):
+    """From Python 3.12, sum() over floats is compensated.  The exact
+    backend and its list reference sum every dot product left to right from
+    0, so a compensated builtin sum changes no draw and no bit of either."""
+    builtin_sum = builtins.sum
+
+    def compensated_sum(iterable, start=0):
+        items = list(iterable)
+        if items and all(type(v) is float for v in items):
+            return start + math.fsum(items)
+        return builtin_sum(items, start)
+
+    rng = np.random.default_rng(41)
+    instances = [_general_instance(rng) for _ in range(120)]  # 2-6 variables
+
+    def answers():
+        got = []
+        for trial, (A, b, c, lo, hi) in enumerate(instances):
+            args = (A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist())
+            for solve in (lambda *a: _seidel(*a, [0] * (c.size + 1)),
+                          seidel_list_reference._seidel):
+                rng_solve = np.random.default_rng(trial)
+                x = solve(*args, rng_solve, 1e-9)
+                got.append((None if x is None else np.array(x).tobytes(),
+                            rng_solve.bit_generator.state["state"]["state"]))
+        return got
+
+    # summed left to right, the two 1.0 terms are lost
+    assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    plain = answers()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert answers() == plain
 
 
 def test_list_shuffle_draws_what_permutation_draws():
