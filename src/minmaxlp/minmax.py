@@ -7,12 +7,13 @@ bounding box, recursing on one fewer variable each time a constraint is
 violated; it is intended for low dimension.  Its recursion works on lists of
 Python floats rather than numpy arrays: a solve makes tens to hundreds of
 recursive calls, each on a handful of rows, and numpy's fixed cost per call
-(slicing, stacking, one dispatch per row) outweighed the arithmetic.  Nearly
-all of those subproblems have one to four variables, so those levels build
-no list per row: the four- and three-variable levels keep their rows in flat
-columns and normalize their subproblems' rows as they eliminate, and the
-two-variable level solves its one-variable subproblems in place, each with
-the arithmetic, and so the bits, of the plain list recursion kept in
+(slicing, stacking, one dispatch per row) outweighed the arithmetic.  It
+takes the constraints as columns and normalizes the rows it is handed once,
+at ``_seidel``'s entry.  Nearly all subproblems have one to four variables,
+and those levels are flat loops over the unit rows as columns: the four- and
+three-variable loops normalize their subproblems' rows as they eliminate,
+and the two-variable loop solves its one-variable subproblems in place, each
+with the arithmetic, and so the bits, of the plain list recursion kept in
 ``tests/seidel_list_reference.py``.  Orders are drawn by shuffling lists,
 the same draws as ``rng.permutation`` at a third of the cost.  The iterative
 one takes Polyak subgradient steps toward a slowly lowered target level and
@@ -28,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from operator import add, mul
+from itertools import compress
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -118,7 +120,7 @@ def _result(prob: PiecewiseMaxProblem, x: np.ndarray,
 # exact backend: randomized incremental LP on the epigraph
 
 
-def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
             tol: float, counts: list):
     """Minimize c . x over {A x <= b, lo <= x <= hi}, or None when the
     half-spaces are (numerically) inconsistent.
@@ -128,27 +130,29 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     dimension down.  The box is kept implicit: the running point always
     satisfies it, and eliminated coordinates re-enter as two ordinary rows.
 
-    ``A`` is a list of rows, and ``b``, ``c``, ``lo``, ``hi`` and the
-    returned ``x`` are lists of floats: each subproblem holds a handful of
-    rows, too few for numpy's fixed cost per call to pay off.  Two to four
-    variables go to the flat levels.  ``counts[k]`` is raised by one for
-    every subproblem with k variables, this one included.
+    ``cols`` is ``A`` as a list of columns; they, ``b``, ``c``, ``lo``,
+    ``hi`` and the returned ``x`` are lists of floats.  This is the one place
+    that normalizes the rows it is handed, at every width: a vacuous row is
+    dropped, or gives None when inconsistent.  Two to four variables then go
+    to the flat loops, which take the unit rows as columns.  ``counts[k]`` is
+    raised by one for every subproblem with k variables, this one included.
     """
     dim = len(c)
     counts[dim] += 1
-    if dim <= 4:
-        flat = _seidel_plane if dim == 2 else _seidel_space if dim == 3 else _seidel_4
-        return flat(A, b, c, lo, hi, rng, tol, counts)
     # normalize rows so pivots and violation thresholds are scale-free
-    rows, rhss = [], []
-    for row, rhs in zip(A, b):
-        norm = math.hypot(*row)
-        if norm <= 1e-13:
-            if rhs < -tol:
-                return None  # 0 . x <= negative: inconsistent
-            continue  # vacuous row
-        rows.append([v / norm for v in row])
-        rhss.append(rhs / norm)
+    norms = list(map(math.hypot, *cols))
+    if min(norms) <= 1e-13:
+        kept = [norm > 1e-13 for norm in norms]
+        if any(rhs < -tol for keep, rhs in zip(kept, b) if not keep):
+            return None  # 0 . x <= negative: inconsistent
+        # drop the vacuous rows
+        cols = [list(compress(col, kept)) for col in cols]
+        b, norms = list(compress(b, kept)), list(compress(norms, kept))
+    cols = [list(map(truediv, col, norms)) for col in cols]
+    w = list(map(truediv, b, norms))
+    if dim in _FLAT_LOOPS:
+        return _FLAT_LOOPS[dim](cols, w, c, lo, hi, rng, tol, counts)
+    rows = list(zip(*cols))
 
     tie = TIE_TOL * max(1.0, max(map(abs, c)))
     x = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
@@ -159,7 +163,7 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     order = list(range(len(rows)))
     rng.shuffle(order)
     for position, i in enumerate(order):
-        row, rhs = rows[i], rhss[i]
+        row, rhs = rows[i], w[i]
         slack = tol * (1 + abs(rhs)) + x_slack
         # summed left to right from 0: from Python 3.12 sum() compensates
         if reduce(add, map(mul, row, x), 0) <= rhs + slack:
@@ -178,7 +182,7 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
             sub_row = [v - pk * a for v, a in zip(prow, alpha)]
             del sub_row[k]
             sub_A.append(sub_row)
-            sub_b.append(rhss[p] - pk * beta)
+            sub_b.append(w[p] - pk * beta)
         ck = c[k]
         sub_c = [cj - ck * a for cj, a in zip(c, alpha)]
         del alpha[k], sub_c[k]
@@ -186,8 +190,8 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
         sub_A += [[-a for a in alpha], alpha]
         sub_b += [hi[k] - beta, beta - lo[k]]
 
-        x = _seidel(sub_A, sub_b, sub_c, lo[:k] + lo[k + 1:], hi[:k] + hi[k + 1:], rng, tol,
-                    counts)
+        x = _seidel(list(zip(*sub_A)), sub_b, sub_c, lo[:k] + lo[k + 1:], hi[:k] + hi[k + 1:],
+                    rng, tol, counts)
         if x is None:
             return None
         x.insert(k, beta - reduce(add, map(mul, alpha, x), 0))
@@ -195,30 +199,17 @@ def _seidel(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Genera
     return x
 
 
-def _seidel_4(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
-              tol: float, counts: list):
-    """:func:`_seidel` on four variables, its normalized rows kept in five
-    flat lists: :func:`_space_loop` one variable up, its subproblems' columns
-    handed straight to :func:`_space_loop`, with the reference's bits."""
-    p, q, r, s, w = [], [], [], [], []
-    for (a0, a1, a2, a3), rhs in zip(A, b):
-        norm = math.hypot(a0, a1, a2, a3)
-        if norm <= 1e-13:
-            if rhs < -tol:
-                return None  # 0 . x <= negative: inconsistent
-            continue  # vacuous row
-        p.append(a0 / norm)
-        q.append(a1 / norm)
-        r.append(a2 / norm)
-        s.append(a3 / norm)
-        w.append(rhs / norm)
-
+def _quad_loop(cols: list, w: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+               tol: float, counts: list):
+    """Minimize c . x over the unit rows (p, q, r, s) . x <= w and the box:
+    :func:`_space_loop` one variable up, its subproblems' columns handed
+    straight to :func:`_space_loop`, with the reference's bits."""
+    p, q, r, s = cols
     tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]), abs(c[2]), abs(c[3]))
     x0, x1, x2, x3 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
                       for cj, l, h in zip(c, lo, hi)]
     x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2), abs(x3)))
 
-    cols = (p, q, r, s)
     order = list(range(len(w)))
     rng.shuffle(order)
     for position, i in enumerate(order):
@@ -276,8 +267,8 @@ def _seidel_4(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gene
             t += [-n2, n2]
             z += [upper / norm, lower / norm]
 
-        y = _space_loop(u, v, t, z, sub_c, [lo[j0], lo[j1], lo[j2]], [hi[j0], hi[j1], hi[j2]],
-                        rng, tol, counts)
+        y = _space_loop((u, v, t), z, sub_c, [lo[j0], lo[j1], lo[j2]],
+                        [hi[j0], hi[j1], hi[j2]], rng, tol, counts)
         if y is None:
             return None
         y0, y1, y2 = y
@@ -288,39 +279,21 @@ def _seidel_4(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gene
     return [x0, x1, x2, x3]
 
 
-def _seidel_space(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
-                  tol: float, counts: list):
-    """:func:`_seidel` on three variables: normalize the rows into columns
-    for :func:`_space_loop`."""
-    p, q, r, w = [], [], [], []
-    for (a0, a1, a2), rhs in zip(A, b):
-        norm = math.hypot(a0, a1, a2)
-        if norm <= 1e-13:
-            if rhs < -tol:
-                return None  # 0 . x <= negative: inconsistent
-            continue  # vacuous row
-        p.append(a0 / norm)
-        q.append(a1 / norm)
-        r.append(a2 / norm)
-        w.append(rhs / norm)
-    return _space_loop(p, q, r, w, c, lo, hi, rng, tol, counts)
-
-
-def _space_loop(p: list, q: list, r: list, w: list, c: list, lo: list, hi: list,
-                rng: np.random.Generator, tol: float, counts: list):
-    """Minimize c . x over the normalized rows (p, q, r) . x <= w and the
-    box.  On a violation one pass eliminates the pivot and normalizes each
-    earlier row, and the two box rows of the eliminated coordinate, as its
+def _space_loop(cols: list, w: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+                tol: float, counts: list):
+    """Minimize c . x over the unit rows (p, q, r) . x <= w and the box.  On
+    a violation one pass eliminates the pivot and normalizes each earlier
+    row, and the two box rows of the eliminated coordinate, as its
     two-variable subproblem would, then hands those columns straight to
     :func:`_plane_loop`.  Each operation is the one the plain recursion of
     ``tests/seidel_list_reference.py`` does, in the same order, so every
     decision and every bit of the answer are the reference's."""
+    p, q, r = cols
     tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]), abs(c[2]))
     x0, x1, x2 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
                   for cj, l, h in zip(c, lo, hi)]
     x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2)))
 
-    cols = (p, q, r)
     order = list(range(len(w)))
     rng.shuffle(order)
     for position, i in enumerate(order):
@@ -376,7 +349,7 @@ def _space_loop(p: list, q: list, r: list, w: list, c: list, lo: list, hi: list,
             v += [-n1, n1]
             z += [upper / norm, lower / norm]
 
-        y = _plane_loop(u, v, z, sub_c, [lo[j0], lo[j1]], [hi[j0], hi[j1]], rng, tol, counts)
+        y = _plane_loop((u, v), z, sub_c, [lo[j0], lo[j1]], [hi[j0], hi[j1]], rng, tol, counts)
         if y is None:
             return None
         y0, y1 = y
@@ -387,26 +360,9 @@ def _space_loop(p: list, q: list, r: list, w: list, c: list, lo: list, hi: list,
     return [x0, x1, x2]
 
 
-def _seidel_plane(A: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
-                  tol: float, counts: list):
-    """:func:`_seidel` on two variables: normalize the rows into columns
-    for :func:`_plane_loop`."""
-    u, v, w = [], [], []
-    for (a0, a1), rhs in zip(A, b):
-        norm = math.hypot(a0, a1)
-        if norm <= 1e-13:
-            if rhs < -tol:
-                return None  # 0 . x <= negative: inconsistent
-            continue  # vacuous row
-        u.append(a0 / norm)
-        v.append(a1 / norm)
-        w.append(rhs / norm)
-    return _plane_loop(u, v, w, c, lo, hi, rng, tol, counts)
-
-
-def _plane_loop(u: list, v: list, w: list, c: list, lo: list, hi: list,
-                rng: np.random.Generator, tol: float, counts: list):
-    """Minimize c . x over the normalized rows (u, v) . x <= w and the box,
+def _plane_loop(cols: list, w: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+                tol: float, counts: list):
+    """Minimize c . x over the unit rows (u, v) . x <= w and the box,
     its one-variable subproblems solved in place: on a violation one loop
     eliminates the pivot and intersects the half-lines, building no rows.
     Each operation is the one the plain recursion of
@@ -414,6 +370,7 @@ def _plane_loop(u: list, v: list, w: list, c: list, lo: list, hi: list,
     interval solve), in the same order, so every decision and every bit of
     the answer are the reference's.  Appends the box to ``u``, ``v`` and ``w``.
     """
+    u, v = cols
     # the box as four rows x_0 <= hi_0, -x_0 <= -lo_0, x_1 <= hi_1,
     # -x_1 <= -lo_1, which the elimination turns into exactly the two box
     # rows of _seidel
@@ -480,6 +437,9 @@ def _plane_loop(u: list, v: list, w: list, c: list, lo: list, hi: list,
     return [x0, x1]
 
 
+_FLAT_LOOPS = {2: _plane_loop, 3: _space_loop, 4: _quad_loop}
+
+
 def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Generator,
                       tol: float, counts: list):
     """Solve min t s.t. G x + h <= t inside |x_j| <= box, |t| <= box.
@@ -487,9 +447,9 @@ def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Gene
     Returns (x, t, box_active); ``counts`` is :func:`_seidel`'s.
     """
     m, d = prob.G.shape
-    A = np.hstack((prob.G, np.full((m, 1), -1.0))).tolist()
+    cols = prob.G.T.tolist() + [[-1.0] * m]
     c = [0.0] * d + [1.0]
-    z = _seidel(A, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol, counts)
+    z = _seidel(cols, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol, counts)
     if z is None:
         raise SolverError(
             "incremental solve hit an inconsistent subsystem; retry with a different seed"

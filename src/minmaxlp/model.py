@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -49,6 +50,9 @@ class LinearProgram:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        # any integer but a bool, numpy's included, is stored as an int
+        if isinstance(self.dimension, numbers.Integral) and not isinstance(self.dimension, bool):
+            object.__setattr__(self, "dimension", int(self.dimension))
         object.__setattr__(self, "A", _readonly(self.A))
         object.__setattr__(self, "b", _readonly(self.b))
         object.__setattr__(self, "c", _readonly(self.c))

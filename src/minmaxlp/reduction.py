@@ -209,7 +209,10 @@ def check_interior(
             return SolutionStatus.INFEASIBLE
         return ph.p0
     try:
-        p0 = np.asarray(hint, dtype=float)
+        p0 = np.asarray(hint)
+        if p0.dtype.kind in "bc":  # True is no coordinate, nor is 3j a real one
+            return SolutionStatus.INPUT_ERROR
+        p0 = np.asarray(p0, dtype=float)
     except (TypeError, ValueError):  # entries that are not numbers
         return SolutionStatus.INPUT_ERROR
     if p0.shape != (lp.dimension,) or not np.isfinite(p0).all():

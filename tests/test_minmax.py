@@ -186,9 +186,12 @@ class TestSolveExact:
         calls = Counter()
         original = seidel_list_reference._seidel
 
-        def counting(A, b, c, lo, hi, rng, tol, counts=None):
+        def counting(A, b, c, lo, hi, rng, tol):
             calls[len(c)] += 1
             return original(A, b, c, lo, hi, rng, tol)
+
+        def counting_columns(cols, b, c, lo, hi, rng, tol, counts):
+            return counting(list(zip(*cols)), b, c, lo, hi, rng, tol)
 
         rng = np.random.default_rng(28)
         for trial in range(40):
@@ -202,7 +205,7 @@ class TestSolveExact:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(seidel_list_reference, "_seidel", counting)
-                patch.setattr(minmax, "_seidel", counting)
+                patch.setattr(minmax, "_seidel", counting_columns)
                 want = solve_exact(prob, seed=trial)
             assert got.stats["subproblems"] == {k: calls[k] for k in range(1, d + 2)}
             assert got.x_star.tobytes() == want.x_star.tobytes()
@@ -283,8 +286,8 @@ def test_seidel_matches_numpy_reference():
             continue  # the epigraph of a function of no variables
         rng_want, rng_got = np.random.default_rng(trial), np.random.default_rng(trial)
         want = seidel_reference._seidel(A, b, c, lo, hi, rng_want, 1e-9)
-        got = _seidel(A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist(), rng_got, 1e-9,
-                      [0] * (c.size + 1))
+        got = _seidel(A.T.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist(), rng_got,
+                      1e-9, [0] * (c.size + 1))
         diverged += rng_got.bit_generator.state != rng_want.bit_generator.state
         assert (got is None) == (want is None), trial
         if want is None:
@@ -335,18 +338,29 @@ def _general_instance(rng):
 
 
 def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
-    """The two-variable level solves its one-variable subproblems in place,
-    and the four- and three-variable levels normalize the rows of their
-    subproblems in place, with the list version's arithmetic: same verdict,
-    same random draws and the same bits in every answer, on instances that
-    reach each special case of the one-variable step and of the four- and
-    three-variable eliminations."""
+    """_seidel normalizes the rows it is handed once, at its entry, the
+    two-variable loop solves its one-variable subproblems in place, and the
+    four- and three-variable loops normalize the rows of their subproblems
+    in place, with the list version's arithmetic: same verdict, same random
+    draws and the same bits in every answer, on instances that reach each
+    special case of the entry at every width, of the one-variable step and
+    of the four- and three-variable eliminations."""
     seen = Counter()
     interval = seidel_list_reference._solve_interval
     seidel = seidel_list_reference._seidel
     levels = []  # the number of variables of each enclosing call
 
     def recording_seidel(A, b, c, lo, hi, rng, tol):
+        if not levels or levels[-1] > 4:
+            # a call that the exact backend makes to _seidel, which
+            # normalizes its rows and hands them to the loop of its width
+            vacuous = [rhs < -tol for row, rhs in zip(A, b) if math.hypot(*row) <= 1e-13]
+            if any(vacuous):
+                seen[f"entry, {len(c)} variables: vacuous row inconsistent"] += 1
+            elif len(vacuous) == len(b):
+                seen[f"entry, {len(c)} variables: every row vacuous"] += 1
+            elif vacuous:
+                seen[f"entry, {len(c)} variables: vacuous row kept"] += 1
         width = len(c) + 1
         if width in (3, 4) and levels[-1:] == [width]:
             vacuous = [rhs < -tol for row, rhs in zip(A, b) if math.hypot(*row) <= 1e-13]
@@ -379,9 +393,10 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     monkeypatch.setattr(seidel_list_reference, "_seidel", recording_seidel)
 
     def same_answer(args, seed):
+        A, *rest = args
         rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = seidel_list_reference._seidel(*args, rng_want, 1e-9)
-        got = _seidel(*args, rng_got, 1e-9, [0] * (len(args[2]) + 1))
+        want = seidel_list_reference._seidel(A.tolist(), *rest, rng_want, 1e-9)
+        got = _seidel(A.T.tolist(), *rest, rng_got, 1e-9, [0] * (len(rest[1]) + 1))
         assert rng_got.bit_generator.state == rng_want.bit_generator.state, seed
         assert (got is None) == (want is None), seed
         if want is not None:
@@ -391,8 +406,8 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     # two bounds 0.0 and -0.0 on x_1: the first one visited stays, as
     # min() and max() keep it, and is the answer's x_1
     for sign in (1.0, -1.0):
-        args = ([[1.0, sign], [1.0, sign], [-1.0, 0.0]], [-0.0, 0.0, -0.0], [1.0, -sign],
-                [-2.0, -2.0], [2.0, 2.0])
+        args = (np.array([[1.0, sign], [1.0, sign], [-1.0, 0.0]]), [-0.0, 0.0, -0.0],
+                [1.0, -sign], [-2.0, -2.0], [2.0, 2.0])
         for seed in range(6):
             assert same_answer(args, seed)
 
@@ -403,7 +418,7 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
         A, b, c, lo, hi = make(rng)
         if c.size == 1:
             continue
-        if same_answer((A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial):
+        if same_answer((A, b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial):
             solved += 1
         else:
             inconsistent += 1
@@ -412,12 +427,26 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     # three variables and 40-200 rows: phase 1 of a two-dimensional program
     for trial in range(300, 340):
         A, b, c, lo, hi = _epigraph_instance(rng, n=3, rows=(40, 200))
-        same_answer((A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
+        same_answer((A, b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
     # four variables and 20-40 rows: phase 1 of a three-dimensional program
     for trial in range(340, 380):
         A, b, c, lo, hi = _epigraph_instance(rng, n=4, rows=(20, 40))
-        same_answer((A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
-    assert min(seen.values()) >= 5 and len(seen) == 11, seen
+        same_answer((A, b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
+    # 2-6 variables with vacuous rows at the entry: some kept, one
+    # inconsistent, or every row vacuous, so the loop is handed no rows
+    entry_rng = np.random.default_rng(37)
+    for trial in range(380, 455):
+        n, case = 2 + trial % 5, trial // 5 % 3
+        m = int(entry_rng.integers(2, 12))
+        A = entry_rng.integers(-1, 2, (m, n)).astype(float)
+        b = entry_rng.random(m)
+        vacuous = m if case == 2 else int(entry_rng.integers(1, m))
+        A[:vacuous] *= entry_rng.choice([0.0, 1e-14], (vacuous, 1))
+        if case == 1:
+            b[0] = -1.0
+        c = entry_rng.standard_normal(n).tolist()
+        assert same_answer((A, b.tolist(), c, [-2.0] * n, [2.0] * n), trial) == (case != 1)
+    assert min(seen.values()) >= 5 and len(seen) == 26, seen
 
 
 def test_seidel_bits_do_not_depend_on_sum(monkeypatch):
@@ -438,9 +467,9 @@ def test_seidel_bits_do_not_depend_on_sum(monkeypatch):
     def answers():
         got = []
         for trial, (A, b, c, lo, hi) in enumerate(instances):
-            args = (A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist())
-            for solve in (lambda *a: _seidel(*a, [0] * (c.size + 1)),
-                          seidel_list_reference._seidel):
+            args = (b.tolist(), c.tolist(), lo.tolist(), hi.tolist())
+            for solve in (lambda *a: _seidel(A.T.tolist(), *a, [0] * (c.size + 1)),
+                          lambda *a: seidel_list_reference._seidel(A.tolist(), *a)):
                 rng_solve = np.random.default_rng(trial)
                 x = solve(*args, rng_solve, 1e-9)
                 got.append((None if x is None else np.array(x).tobytes(),

@@ -19,6 +19,7 @@ from minmaxlp import (
     load_solution,
     save_lp,
     save_solution,
+    solve,
     validate,
 )
 
@@ -54,6 +55,21 @@ class TestValidate:
     def test_nonfinite_entry(self):
         lp = LinearProgram(dimension=2, A=[[1, 0], [0, np.inf]], b=[1, 1], c=[1, 1])
         assert any("finite" in v for v in validate(lp))
+
+    def test_numpy_integer_dimension(self):
+        """Any integer type but bool is a dimension, stored as an int: the
+        program solves and saves as with a Python int."""
+        plain = square_lp()
+        want = solve(plain)
+        for dimension in (np.int64(2), np.int32(2), np.uint8(2)):
+            lp = LinearProgram(dimension=dimension, A=plain.A, b=plain.b, c=plain.c)
+            assert type(lp.dimension) is int and validate(lp) == ()
+            assert save_lp(lp) == save_lp(plain)
+            got = solve(lp)
+            assert got.status is want.status is SolutionStatus.OPTIMAL
+            assert save_solution(got) == save_solution(want)
+        lp = LinearProgram(dimension=np.True_, A=plain.A, b=plain.b, c=plain.c)
+        assert validate(lp) == ("dimension: must be an integer",)
 
     def test_reports_every_violation(self):
         lp = LinearProgram(dimension=1, A=[[1, 2]], b=[1, 2], c=[np.nan])

@@ -420,7 +420,9 @@ class TestInteriorHint:
             solve(ROOF, interior_hint=np.array([np.nan, 0.0])).status
             is SolutionStatus.INPUT_ERROR
         )
-        for hint in (["a", "b"], [object(), 0], [0, None]):
+        # complex and bool entries are not coordinates, though numpy casts them
+        for hint in (["a", "b"], [object(), 0], [0, None], np.array([0.5 + 3j, 0]),
+                     np.array([True, False])):
             assert solve(ROOF, interior_hint=hint).status is SolutionStatus.INPUT_ERROR, hint
 
 
