@@ -16,11 +16,10 @@ and the two-variable loop solves its one-variable subproblems in place, each
 with the arithmetic, and so the bits, of the plain list recursion kept in
 ``tests/seidel_list_reference.py``.  Orders are drawn by shuffling lists,
 the same draws as ``rng.permutation`` at a third of the cost.  The iterative
-one takes Polyak subgradient steps toward a slowly lowered target level and
-scales to any dimension at the price of approximate answers.  Its loop works
-in preallocated buffers: a solve takes some 13,000 steps, each a handful of
-numpy calls on short vectors, so fresh arrays and Python helpers per step
-cost more than the arithmetic.
+one, for any dimension, runs a vertex simplex on the same epigraph and keeps
+its answer when an optimality certificate checks; otherwise it takes Polyak
+subgradient steps toward a slowly lowered target level, for an approximate
+answer.
 """
 
 from __future__ import annotations
@@ -92,7 +91,8 @@ class MinMaxResult:
     active_set: tuple[int, ...] | None
     converged: bool = True
     # exact backend: {"subproblems": {k: subproblems with k variables},
-    # "box_doublings": 0 or 1}, summed over its epigraph solves
+    # "box_doublings": 0 or 1}, summed over its epigraph solves; iterative
+    # backend: {"pivots": k} or {"iterations": n, "level_halvings": j}
     stats: dict = field(default_factory=dict)
 
 
@@ -498,7 +498,8 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# iterative backend: Polyak steps toward a descending target level
+# iterative backend: a certified vertex simplex, else Polyak steps toward a
+# descending target level
 
 
 # subgradient steps before the best point so far is returned unconverged
@@ -512,13 +513,76 @@ UNBOUNDED_VALUE = -1e12
 
 
 def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> MinMaxResult:
+    """Minimization in any dimension: the certified answer of
+    :func:`_vertex_simplex`, with ``stats`` {"pivots": k}, when it gives one;
+    else (unbounded below, pivot cap, failed certificate, or every piece
+    constant) the approximate one of :func:`_polyak`, the only step that
+    reads ``tolerance``."""
+    vertex = _vertex_simplex(prob) if prob.G.any() else None
+    return _polyak(prob, tolerance) if vertex is None else vertex
+
+
+def _vertex_simplex(prob: PiecewiseMaxProblem) -> MinMaxResult | None:
+    """Minimize by a vertex simplex on the epigraph LP min t s.t. G x + h <= t
+    of the instance divided by max(|G|, |h|).  The first basis, the rows
+    x_j = 0 and the piece highest at the origin, is its own inverse
+    [[I, 0], [G_top, -1]]; the rows x_j = 0 leave first, then the row of the
+    most negative multiplier.  None, unless it ends within 4(m + d + 1)
+    pivots with multipliers y >= 0 summing to 1, max|y G_B| <= 1e-9 and
+    max(G x + h) - y . h_B <= 1e-9 max(1, |value|)."""
+    m, d = prob.G.shape
+    scale = max(float(np.abs(prob.G).max()), float(np.abs(prob.h).max()))
+    G, h = prob.G / scale, prob.h / scale
+    top = int(h.argmax())
+    inv = np.eye(d + 1)
+    inv[d, :d], inv[d, d] = G[top], -1.0
+    basis = list(range(m, m + d)) + [top]  # m + j is the pseudo-row x_j = 0
+    slack = h[top] - h  # t - (G x + h) at the vertex
+    for pivots in range(4 * (m + d + 1)):
+        y = -inv[d]  # the multipliers
+        free = [k for k in range(d + 1) if basis[k] >= m]
+        k = max(free, key=lambda k: abs(y[k])) if free else int(y.argmin())
+        if not free and y[k] >= -1e-12:
+            break
+        # the edge that leaves row k, along which t falls
+        u = inv[:, k] if free and y[k] > 0 else -inv[:, k]
+        rate = G @ u[:d] - u[d]
+        rate[[i for i in basis if i < m and i != basis[k]]] = 0.0  # rows that stay tight
+        blocking = np.flatnonzero(rate > 1e-11 * float(np.abs(u).max()))
+        if not blocking.size:
+            return None  # unbounded below, or a line of constant t
+        ratios = np.maximum(slack[blocking], 0.0) / rate[blocking]
+        j = int(ratios.argmin())
+        r = int(blocking[j])
+        slack -= ratios[j] * rate
+        slack[r] = 0.0
+        # row r replaces row k: a rank-one update of the inverse
+        row = G[r] @ inv[:d] - inv[d]
+        col = inv[:, k] / row[k]
+        inv -= np.outer(col, row)
+        inv[:, k] = col
+        basis[k] = r
+    else:
+        return None
+    y = np.maximum(-inv[d], 0.0)
+    y /= y.sum()
+    x = inv[:d] @ -h[basis]
+    value = float((G @ x + h).max())
+    if (float(np.abs(y @ G[basis]).max()) <= 1e-9
+            and value - float(y @ h[basis]) <= 1e-9 * max(1.0, abs(value))):
+        return _result(prob, x, stats={"pivots": pivots})
+    return None
+
+
+def _polyak(prob: PiecewiseMaxProblem, tolerance: float) -> MinMaxResult:
     """Approximate minimization by subgradient steps from the origin.
 
     Each step moves against the gradient of the currently maximal piece with
     the Polyak step length for the target ``f_best - delta``; when a level
     stalls, ``delta`` halves and the iterate restarts from the incumbent.
     Always returns the best point seen, flagged ``converged`` once ``delta``
-    shrinks below the requested tolerance.
+    shrinks below the requested tolerance, with the steps taken and the
+    level halvings in ``stats``.
 
     A solve runs for thousands of steps on vectors of a few dozen entries,
     where numpy's cost per call outweighs the arithmetic.  So each step
@@ -534,20 +598,21 @@ def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> Min
 
     if not prob.G.any():
         # every piece is constant; the start point is already optimal
-        return _result(prob, x_best)
+        return _result(prob, x_best, stats={"iterations": 0, "level_halvings": 0})
 
     delta = 0.5 * (1.0 + abs(f_best))
     level_best = f_best
     stalled = 0
     streak = 0  # consecutive successful levels; sustained descent doubles delta
     converged = False
+    halvings = 0
 
     G, h = prob.G, prob.h
     rows = list(G)
     row_norms = [float(g @ g) for g in rows]
     values = np.empty(prob.m)
     step = np.empty(prob.d)
-    for _ in range(MAX_ITERS):
+    for steps in range(1, MAX_ITERS + 1):
         np.dot(G, x, out=values)
         values += h
         argmax = int(values.argmax())
@@ -560,7 +625,8 @@ def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> Min
         if f < f_best:
             f_best, x_best = f, x.copy()
         if f_best < UNBOUNDED_VALUE:
-            return _result(prob, x_best, MinMaxStatus.UNBOUNDED_BELOW, converged=False)
+            return _result(prob, x_best, MinMaxStatus.UNBOUNDED_BELOW, converged=False,
+                           stats={"iterations": steps, "level_halvings": halvings})
         gg = row_norms[argmax]
         if gg == 0.0:
             # a constant piece is the max: its value floors the function
@@ -583,8 +649,10 @@ def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> Min
             stalled = 0
             streak = 0
             level_best = f_best
+            halvings += 1
         if delta <= 0.25 * tolerance * (1.0 + abs(f_best)):
             converged = True
             break
 
-    return _result(prob, x_best, converged=converged)
+    return _result(prob, x_best, converged=converged,
+                   stats={"iterations": steps, "level_halvings": halvings})

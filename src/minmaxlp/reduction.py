@@ -208,6 +208,11 @@ def check_interior(
         if ph.status is PhaseOneStatus.NO_STRICT_INTERIOR:
             return SolutionStatus.INFEASIBLE
         return ph.p0
+    # numpy casts [True, 0.5] to floats, so a list is checked entry by entry
+    if isinstance(hint, (list, tuple)) and not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in hint
+    ):
+        return SolutionStatus.INPUT_ERROR
     try:
         p0 = np.asarray(hint)
         if p0.dtype.kind in "bc":  # True is no coordinate, nor is 3j a real one

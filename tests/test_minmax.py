@@ -569,7 +569,7 @@ class TestSolveSubgradient:
                 continue
             approx = solve_subgradient(prob)
             assert approx.status is MinMaxStatus.MINIMIZED
-            assert abs(approx.value - exact.value) <= 1e-5 * (1 + abs(exact.value))
+            assert abs(approx.value - exact.value) <= 1e-9 * (1 + abs(exact.value))
             checked += 1
 
     def test_runaway_descent_flags_unbounded(self):
@@ -612,24 +612,80 @@ def _polyak_instance(rng):
     return PiecewiseMaxProblem(G, h), tolerance
 
 
-def test_subgradient_matches_reference():
-    """The buffered Polyak loop does the reference's arithmetic step for
-    step: bit-identical results."""
+def _polyak_cases():
+    """The 200 drawn instances, a runaway descent, and a constant piece that
+    is the maximum (gg == 0)."""
     rng = np.random.default_rng(28)
     cases = [_polyak_instance(rng) for _ in range(200)]
-    # runaway descent, and a constant piece that is the maximum (gg == 0)
     cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [0.5, -2.0]], h=[0.0, 1.0]), 1e-7))
     cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], h=[0.0, 0.0, 5.0]),
                   1e-7))
+    return cases
+
+
+def _same_result(got, want):
+    return (got.status is want.status and got.value == want.value
+            and got.converged == want.converged and got.active_set == want.active_set
+            and got.x_star.tobytes() == want.x_star.tobytes())
+
+
+def test_subgradient_matches_reference():
+    """The buffered Polyak loop does the reference's arithmetic step for
+    step, counting its steps and level halvings: bit-identical results."""
     outcomes = set()
-    for trial, (prob, tolerance) in enumerate(cases):
+    for trial, (prob, tolerance) in enumerate(_polyak_cases()):
         want = subgradient_reference.solve_subgradient(prob, tolerance)
-        got = solve_subgradient(prob, tolerance)
-        assert got.status is want.status, trial
-        assert got.value == want.value, trial
-        assert got.converged == want.converged, trial
-        assert got.active_set == want.active_set, trial
-        assert got.x_star.tobytes() == want.x_star.tobytes(), trial
+        got = minmax._polyak(prob, tolerance)
+        assert _same_result(got, want), trial
+        assert set(got.stats) == {"iterations", "level_halvings"}, trial
+        assert got.stats["level_halvings"] <= got.stats["iterations"] <= minmax.MAX_ITERS, trial
         outcomes.add((want.status, want.converged))
     assert outcomes == {(MinMaxStatus.MINIMIZED, True), (MinMaxStatus.MINIMIZED, False),
                         (MinMaxStatus.UNBOUNDED_BELOW, False)}
+
+
+def _highs_minimum(prob):
+    """min over x of max(G x + h) by HiGHS on the epigraph LP; None when
+    HiGHS does not call it optimal."""
+    from scipy.optimize import linprog
+
+    m, d = prob.G.shape
+    res = linprog(np.append(np.zeros(d), 1.0), A_ub=np.hstack([prob.G, -np.ones((m, 1))]),
+                  b_ub=-prob.h, bounds=[(None, None)] * (d + 1), method="highs")
+    return float(res.fun) if res.status == 0 else None
+
+
+def test_subgradient_is_certified_or_the_reference():
+    """On the reference cases every answer is either the vertex simplex's,
+    certified and within 1e-9 of HiGHS, or the Polyak loop's, bit for bit."""
+    paths = Counter()
+    for trial, (prob, tolerance) in enumerate(_polyak_cases()):
+        got = solve_subgradient(prob, tolerance)
+        if "pivots" in got.stats:
+            want = _highs_minimum(prob)
+            assert want is not None, trial
+            assert got.status is MinMaxStatus.MINIMIZED and got.converged, trial
+            assert abs(got.value - want) <= 1e-9 * max(1.0, abs(want)), trial
+            paths["vertex"] += 1
+        else:
+            want = subgradient_reference.solve_subgradient(prob, tolerance)
+            assert _same_result(got, want), trial
+            assert set(got.stats) == {"iterations", "level_halvings"}, trial
+            paths[got.status] += 1
+    assert paths["vertex"] >= 150 and paths[MinMaxStatus.UNBOUNDED_BELOW] >= 10, paths
+
+
+def test_subgradient_needs_no_lapack(monkeypatch):
+    """The vertex simplex updates its basis inverse by rank-one steps: a
+    d=20 solve calls none of numpy's LAPACK routines, each of which maps
+    half a megabyte or more into the process on first use."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK routine called")
+
+    for name in ("solve", "lstsq", "qr", "inv", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(30)
+    prob = PiecewiseMaxProblem(rng.standard_normal((200, 20)), rng.standard_normal(200))
+    result = solve_subgradient(prob)
+    assert result.status is MinMaxStatus.MINIMIZED
+    assert set(result.stats) == {"pivots"}

@@ -402,6 +402,9 @@ class TestInteriorHint:
         assert sol.status is SolutionStatus.OPTIMAL
         np.testing.assert_array_equal(sol.interior_point, [0.25, 0.0])
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
+        # a list or tuple of numbers, numpy's included, is a hint too
+        for hint in ([0.25, 0], (np.float32(0.25), np.int64(0))):
+            np.testing.assert_array_equal(solve(ROOF, interior_hint=hint).x, sol.x)
 
     def test_boundary_hint_is_rejected_without_fallback(self):
         sol = solve(ROOF, interior_hint=np.array([0.0, 1.0]))
@@ -422,7 +425,7 @@ class TestInteriorHint:
         )
         # complex and bool entries are not coordinates, though numpy casts them
         for hint in (["a", "b"], [object(), 0], [0, None], np.array([0.5 + 3j, 0]),
-                     np.array([True, False])):
+                     np.array([True, False]), [True, 0.5], (0.25, False)):
             assert solve(ROOF, interior_hint=hint).status is SolutionStatus.INPUT_ERROR, hint
 
 
@@ -467,8 +470,29 @@ class TestSubgradientBackend:
             sol = solve(lp, options=SolveOptions(solver="subgradient"))
             ref = oracle_solve(lp)
             assert sol.status is SolutionStatus.OPTIMAL
-            assert abs(sol.objective - ref.objective) <= 1e-3 * (1 + abs(ref.objective))
+            assert abs(sol.objective - ref.objective) <= 1e-9 * (1 + abs(ref.objective))
             assert sol.residual <= 1e-7
+
+    def test_hinted_twenty_variables_match_highs(self):
+        # the Polyak loop alone stopped up to 4.7e-4 short of HiGHS here
+        from scipy.optimize import linprog
+
+        for s in range(8):
+            lp, point = bounded_lp(np.random.default_rng(2000 + s), d=20, n=200)
+            sol = solve(lp, interior_hint=point, options=SolveOptions(solver="subgradient"))
+            res = linprog(-lp.c, A_ub=lp.A, b_ub=lp.b, bounds=[(None, None)] * 20,
+                          method="highs")
+            want = float(lp.c @ res.x)
+            assert sol.status is SolutionStatus.OPTIMAL, s
+            assert abs(sol.objective - want) <= 1e-9 * max(1.0, abs(want)), s
+
+    @pytest.mark.parametrize("hint", [(-100, -95.7), (-1e4, -9570), (-1e5, -95700)])
+    def test_deep_hint_in_a_quadrant(self, hint):
+        # the Polyak loop alone answered 1.999997, 1.963 and -1.11
+        lp = LinearProgram(dimension=2, A=np.eye(2), b=[1.0, 1.0], c=[1.0, 1.0])
+        sol = solve(lp, interior_hint=np.array(hint), options=SolveOptions(solver="subgradient"))
+        assert sol.status is SolutionStatus.OPTIMAL
+        assert sol.objective == pytest.approx(2.0, rel=1e-9, abs=0)
 
     def test_tolerance_reaches_the_backend(self, monkeypatch):
         received = []
