@@ -16,10 +16,8 @@ and the two-variable loop solves its one-variable subproblems in place, each
 with the arithmetic, and so the bits, of the plain list recursion kept in
 ``tests/seidel_list_reference.py``.  Orders are drawn by shuffling lists,
 the same draws as ``rng.permutation`` at a third of the cost.  The iterative
-one, for any dimension, runs a vertex simplex on the same epigraph and keeps
-its answer when an optimality certificate checks; otherwise it takes Polyak
-subgradient steps toward a slowly lowered target level, for an approximate
-answer.
+one, for any dimension, runs a vertex simplex on the same epigraph; it
+certifies every minimum it returns, and raises where the certificate fails.
 """
 
 from __future__ import annotations
@@ -89,10 +87,9 @@ class MinMaxResult:
     x_star: np.ndarray | None
     value: float | None
     active_set: tuple[int, ...] | None
-    converged: bool = True
     # exact backend: {"subproblems": {k: subproblems with k variables},
     # "box_doublings": 0 or 1}, summed over its epigraph solves; iterative
-    # backend: {"pivots": k} or {"iterations": n, "level_halvings": j}
+    # backend: {"pivots": k}
     stats: dict = field(default_factory=dict)
 
 
@@ -498,49 +495,42 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# iterative backend: a certified vertex simplex, else Polyak steps toward a
-# descending target level
+# iterative backend: a certified vertex simplex on the epigraph
 
 
-# subgradient steps before the best point so far is returned unconverged
-MAX_ITERS = 20000
+def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
+    """Minimize in any dimension by a vertex simplex on the epigraph LP
+    min t s.t. G x + h <= t of the instance divided by max(|G|, |h|).
 
-# iterations a level may run without delta/2 progress before halving delta
-LEVEL_PATIENCE = 400
-
-# best value below which the run is declared unbounded
-UNBOUNDED_VALUE = -1e12
-
-
-def solve_subgradient(prob: PiecewiseMaxProblem, tolerance: float = 1e-7) -> MinMaxResult:
-    """Minimization in any dimension: the certified answer of
-    :func:`_vertex_simplex`, with ``stats`` {"pivots": k}, when it gives one;
-    else (unbounded below, pivot cap, failed certificate, or every piece
-    constant) the approximate one of :func:`_polyak`, the only step that
-    reads ``tolerance``."""
-    vertex = _vertex_simplex(prob) if prob.G.any() else None
-    return _polyak(prob, tolerance) if vertex is None else vertex
-
-
-def _vertex_simplex(prob: PiecewiseMaxProblem) -> MinMaxResult | None:
-    """Minimize by a vertex simplex on the epigraph LP min t s.t. G x + h <= t
-    of the instance divided by max(|G|, |h|).  The first basis, the rows
-    x_j = 0 and the piece highest at the origin, is its own inverse
-    [[I, 0], [G_top, -1]]; the rows x_j = 0 leave first, then the row of the
-    most negative multiplier.  None, unless it ends within 4(m + d + 1)
-    pivots with multipliers y >= 0 summing to 1, max|y G_B| <= 1e-9 and
-    max(G x + h) - y . h_B <= 1e-9 max(1, |value|)."""
+    The first basis, the rows x_j = 0 and the piece highest at the origin,
+    is its own inverse [[I, 0], [G_top, -1]]; the rows x_j = 0 leave first,
+    then the row of the most negative multiplier.  Row i blocks an edge u
+    when its rate along u is above 1e-11 (max|G_i| max|u_x| + |u_t|), the
+    rounding that rate can carry.  A row x_j = 0 whose edge is unblocked
+    with a multiplier of at most 1e-12 (a line along which every piece is
+    constant) stays in the basis until the next pivot.  Any other unblocked
+    edge lowers t without end: UNBOUNDED_BELOW, with the vertex moved along
+    that edge until t has fallen by 1 + |t| as witness.
+    A minimum is returned when the multipliers y of the basis pieces are
+    >= 0, sum to 1, and give max|y G_B| <= 1e-9 and
+    max(G x + h) - y . h_B <= 1e-9 max(1, |value|).  ``stats`` is
+    {"pivots": k}.  Raises :class:`SolverError` past 4(m + d + 1) pivots or
+    when that certificate fails."""
     m, d = prob.G.shape
-    scale = max(float(np.abs(prob.G).max()), float(np.abs(prob.h).max()))
+    scale = max(float(np.abs(prob.G).max()), float(np.abs(prob.h).max())) or 1.0
     G, h = prob.G / scale, prob.h / scale
+    reach = np.abs(G).max(axis=1)  # largest |G_ij| of each row
+    rhs = np.append(-h, np.zeros(d))  # of each row; m + j is the pseudo-row x_j = 0
     top = int(h.argmax())
     inv = np.eye(d + 1)
     inv[d, :d], inv[d, d] = G[top], -1.0
-    basis = list(range(m, m + d)) + [top]  # m + j is the pseudo-row x_j = 0
+    basis = list(range(m, m + d)) + [top]
     slack = h[top] - h  # t - (G x + h) at the vertex
-    for pivots in range(4 * (m + d + 1)):
+    flat = set()  # pseudo-rows whose edge is unblocked and level, until the next pivot
+    pivots = 0
+    while pivots < 4 * (m + d + 1):
         y = -inv[d]  # the multipliers
-        free = [k for k in range(d + 1) if basis[k] >= m]
+        free = [k for k in range(d + 1) if basis[k] >= m and k not in flat]
         k = max(free, key=lambda k: abs(y[k])) if free else int(y.argmin())
         if not free and y[k] >= -1e-12:
             break
@@ -548,9 +538,15 @@ def _vertex_simplex(prob: PiecewiseMaxProblem) -> MinMaxResult | None:
         u = inv[:, k] if free and y[k] > 0 else -inv[:, k]
         rate = G @ u[:d] - u[d]
         rate[[i for i in basis if i < m and i != basis[k]]] = 0.0  # rows that stay tight
-        blocking = np.flatnonzero(rate > 1e-11 * float(np.abs(u).max()))
+        noise = 1e-11 * (reach * float(np.abs(u[:d]).max()) + abs(u[d]))
+        blocking = np.flatnonzero(rate > noise)
         if not blocking.size:
-            return None  # unbounded below, or a line of constant t
+            if free and abs(y[k]) <= 1e-12:
+                flat.add(k)
+                continue
+            vertex = inv @ rhs[basis]
+            x = vertex[:d] + (1.0 + abs(vertex[d])) / -u[d] * u[:d]
+            return _result(prob, x, MinMaxStatus.UNBOUNDED_BELOW, stats={"pivots": pivots})
         ratios = np.maximum(slack[blocking], 0.0) / rate[blocking]
         j = int(ratios.argmin())
         r = int(blocking[j])
@@ -562,97 +558,18 @@ def _vertex_simplex(prob: PiecewiseMaxProblem) -> MinMaxResult | None:
         inv -= np.outer(col, row)
         inv[:, k] = col
         basis[k] = r
+        flat.clear()
+        pivots += 1
     else:
-        return None
-    y = np.maximum(-inv[d], 0.0)
+        raise SolverError(f"vertex simplex passed {pivots} pivots without an optimum")
+    # the multipliers of the pieces; a flat pseudo-row's is zero and left out
+    pieces = [k for k in range(d + 1) if basis[k] < m]
+    rows = [basis[k] for k in pieces]
+    y = np.maximum(-inv[d, pieces], 0.0)
     y /= y.sum()
-    x = inv[:d] @ -h[basis]
+    x = inv[:d] @ rhs[basis]
     value = float((G @ x + h).max())
-    if (float(np.abs(y @ G[basis]).max()) <= 1e-9
-            and value - float(y @ h[basis]) <= 1e-9 * max(1.0, abs(value))):
-        return _result(prob, x, stats={"pivots": pivots})
-    return None
-
-
-def _polyak(prob: PiecewiseMaxProblem, tolerance: float) -> MinMaxResult:
-    """Approximate minimization by subgradient steps from the origin.
-
-    Each step moves against the gradient of the currently maximal piece with
-    the Polyak step length for the target ``f_best - delta``; when a level
-    stalls, ``delta`` halves and the iterate restarts from the incumbent.
-    Always returns the best point seen, flagged ``converged`` once ``delta``
-    shrinks below the requested tolerance, with the steps taken and the
-    level halvings in ``stats``.
-
-    A solve runs for thousands of steps on vectors of a few dozen entries,
-    where numpy's cost per call outweighs the arithmetic.  So each step
-    writes ``G @ x + h`` and ``x - s * g`` into buffers allocated once, reads
-    the squared row norms from a table built before the loop, and calls no
-    helper such as :func:`evaluate`; the arithmetic, and so every iterate, is
-    the same as with fresh arrays.  ``x_best`` is always a copy, never the
-    buffer that the step updates.
-    """
-    x = np.zeros(prob.d)
-    f_best, _ = evaluate(prob, x)
-    x_best = x.copy()
-
-    if not prob.G.any():
-        # every piece is constant; the start point is already optimal
-        return _result(prob, x_best, stats={"iterations": 0, "level_halvings": 0})
-
-    delta = 0.5 * (1.0 + abs(f_best))
-    level_best = f_best
-    stalled = 0
-    streak = 0  # consecutive successful levels; sustained descent doubles delta
-    converged = False
-    halvings = 0
-
-    G, h = prob.G, prob.h
-    rows = list(G)
-    row_norms = [float(g @ g) for g in rows]
-    values = np.empty(prob.m)
-    step = np.empty(prob.d)
-    for steps in range(1, MAX_ITERS + 1):
-        np.dot(G, x, out=values)
-        values += h
-        argmax = int(values.argmax())
-        f = values.item(argmax)
-        if not math.isfinite(f):
-            x = x_best.copy()
-            delta *= 0.5
-            stalled = 0
-            continue
-        if f < f_best:
-            f_best, x_best = f, x.copy()
-        if f_best < UNBOUNDED_VALUE:
-            return _result(prob, x_best, MinMaxStatus.UNBOUNDED_BELOW, converged=False,
-                           stats={"iterations": steps, "level_halvings": halvings})
-        gg = row_norms[argmax]
-        if gg == 0.0:
-            # a constant piece is the max: its value floors the function
-            converged = True
-            break
-        np.multiply(rows[argmax], (f - (f_best - delta)) / gg, out=step)
-        x -= step
-        stalled += 1
-        if f_best <= level_best - 0.5 * delta:
-            level_best = f_best
-            stalled = 0
-            streak += 1
-            if streak >= 10:
-                delta *= 2.0  # chase runaway descent geometrically
-                streak = 0
-        elif stalled >= LEVEL_PATIENCE:
-            # too ambitious a target: lower the bar but keep the iterate,
-            # whose distance-to-optimum progress is worth preserving
-            delta *= 0.5
-            stalled = 0
-            streak = 0
-            level_best = f_best
-            halvings += 1
-        if delta <= 0.25 * tolerance * (1.0 + abs(f_best)):
-            converged = True
-            break
-
-    return _result(prob, x_best, converged=converged,
-                   stats={"iterations": steps, "level_halvings": halvings})
+    if (float(np.abs(y @ G[rows]).max()) > 1e-9
+            or value - float(y @ h[rows]) > 1e-9 * max(1.0, abs(value))):
+        raise SolverError("vertex simplex ended at a vertex whose optimality certificate fails")
+    return _result(prob, x, stats={"pivots": pivots})

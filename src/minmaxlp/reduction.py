@@ -22,7 +22,6 @@ from .minmax import (
     MinMaxResult,
     MinMaxStatus,
     PiecewiseMaxProblem,
-    box_half_width,
     evaluate,
     solve_exact,
     solve_subgradient,
@@ -68,7 +67,11 @@ class PhaseOneResult:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Settings of a solve; a bad value raises ReductionError led by the field's name."""
+    """Settings of a solve; a bad value raises ReductionError led by the field's name.
+
+    ``tolerance`` is the exact backend's slack and the threshold below which
+    the intercept |t*| reads as ``unbounded``; the iterative backend takes
+    no tolerance."""
 
     seed: int = 0
     tolerance: float = 1e-9
@@ -90,42 +93,23 @@ class SolveOptions:
 def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResult:
     if options.solver == "exact":
         return solve_exact(prob, seed=options.seed, tolerance=options.tolerance)
-    return solve_subgradient(prob, tolerance=options.tolerance)
+    return solve_subgradient(prob)
 
 
 def phase1(lp: LinearProgram, options: SolveOptions | None = None) -> PhaseOneResult:
     """Search for a strict interior point by minimizing max(A p - b).
 
-    A negative optimum certifies its argmin as strictly feasible.  The
-    iterative backend starts at p = 0, where the max is -min(b), so the
-    search is feasible from the first step.  NoStrictInterior covers both
-    genuinely infeasible programs and feasible ones with empty interior;
-    the construction cannot tell them apart.
+    A negative optimum certifies its argmin as strictly feasible.  A max
+    without a minimum means arbitrarily deep interior, and the backend's
+    witness of that descent, returned as it is, is strictly inside; the
+    iterative backend's sits 1 + |t| below its last vertex, a moderate
+    depth.  NoStrictInterior covers both genuinely infeasible programs and
+    feasible ones with empty interior; the construction cannot tell them
+    apart.
     """
     options = options or SolveOptions()
-    prob = PiecewiseMaxProblem(G=lp.A, h=-lp.b)
-    result = _run_minmax(prob, options)
-    # a descent to minus infinity just means arbitrarily deep interior;
-    # the witness point is still strictly inside
-    p0 = result.x_star
-    margin = float(result.value)
-    # but the iterative backend runs on to a margin near -1e12, too deep
-    # for the support stage to resolve the intercept.  When such a descent
-    # ends past the exact backend's doubled box, the farthest that backend
-    # looks, and every row falls along the witness, pull it back toward the
-    # origin to the first point whose margin is -(1 + max|b|); keep that
-    # point when its margin, checked exactly, is strict
-    if result.status is MinMaxStatus.UNBOUNDED_BELOW and (
-        float(np.abs(p0).max()) > 2 * box_half_width(prob)
-    ):
-        slopes = lp.A @ p0
-        if (slopes < 0).all():
-            level = -(1.0 + float(np.abs(lp.b).max()))
-            pulled = float(((level + lp.b) / slopes).max()) * p0
-            pulled_margin = float((lp.A @ pulled - lp.b).max())
-            if pulled_margin < -EPS_STRICT:
-                p0, margin = pulled, pulled_margin
-    return PhaseOneResult(p0, margin)
+    result = _run_minmax(PiecewiseMaxProblem(G=lp.A, h=-lp.b), options)
+    return PhaseOneResult(result.x_star, float(result.value))
 
 
 def _dual_points(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,8 +164,8 @@ def _pull_inside(A: np.ndarray, b: np.ndarray, p0: np.ndarray, x: np.ndarray) ->
     """Shrink x toward the interior point p0 just enough to be feasible.
 
     A no-op when x already satisfies every constraint; otherwise the largest
-    step along the segment [p0, x] that stays inside.  Soaks up the small
-    infeasibility an approximate min-max solve can leave.
+    step along the segment [p0, x] that stays inside.  Soaks up the rounding
+    that recovery through the dual point leaves on tight rows.
     """
     direction = A @ (x - p0)
     room = b - A @ p0
@@ -255,9 +239,10 @@ def solve(
     options: SolveOptions | None = None,
 ) -> Solution:
     """Solve the LP end to end; the status carries the outcome.  Raises on
-    configuration problems (dimension cap) and, a known
-    defect, with :class:`SolverError` ("inconsistent subsystem") on some
-    programs whose rows are rescaled by large factors."""
+    configuration problems (dimension cap) and with :class:`SolverError`:
+    a known defect of the exact backend ("inconsistent subsystem") on some
+    programs whose rows are rescaled by large factors, and from the
+    iterative backend at its pivot cap or when its certificate fails."""
     options = options or SolveOptions()
     p0 = check_interior(lp, interior_hint, options)
     if isinstance(p0, SolutionStatus):

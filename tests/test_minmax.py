@@ -10,7 +10,6 @@ import pytest
 
 import seidel_list_reference
 import seidel_reference
-import subgradient_reference
 from bruteforce import reference_minmax
 from minmaxlp import minmax
 from minmaxlp.errors import DimensionCapError, SolverError
@@ -546,13 +545,11 @@ class TestSolveSubgradient:
         result = solve_subgradient(v_problem())
         assert result.status is MinMaxStatus.MINIMIZED
         assert result.value <= 1e-6
-        assert result.converged
 
     def test_constant_problem_immediate(self):
         prob = PiecewiseMaxProblem(G=np.zeros((3, 2)), h=[1.0, 5.0, 2.0])
         result = solve_subgradient(prob)
         assert result.value == 5.0
-        assert result.converged
         np.testing.assert_array_equal(result.x_star, np.zeros(2))
 
     def test_tracks_exact_backend(self):
@@ -573,10 +570,13 @@ class TestSolveSubgradient:
             checked += 1
 
     def test_runaway_descent_flags_unbounded(self):
-        result = solve_subgradient(PiecewiseMaxProblem(G=[[1.0, 0.0]], h=[0.0]))
+        prob = PiecewiseMaxProblem(G=[[1.0, 0.0], [0.5, -2.0]], h=[0.0, 1.0])
+        result = solve_subgradient(prob)
         assert result.status is MinMaxStatus.UNBOUNDED_BELOW
-        assert result.value < -1e12
-        assert not result.converged
+        # the witness is a point of descent, below the value at the origin
+        assert result.value == evaluate(prob, result.x_star)[0]
+        assert result.value < evaluate(prob, np.zeros(2))[0]
+        assert set(result.stats) == {"pivots"}
 
     def test_works_above_exact_cap(self):
         rng = np.random.default_rng(26)
@@ -588,10 +588,9 @@ class TestSolveSubgradient:
         assert result.value <= 1e-4
 
 
-def _polyak_instance(rng):
+def _iterative_instance(rng):
     """1-24 variables and 1-250 pieces in C or Fortran order, some with a
-    zeroed row, duplicated rows or rows rescaled by 1e-3 to 1e3, and one of
-    three tolerances."""
+    zeroed row, duplicated rows or rows rescaled by 1e-3 to 1e3."""
     d = int(rng.integers(1, 25))
     m = int(rng.integers(1, 251))
     G = rng.standard_normal((m, d))
@@ -608,71 +607,62 @@ def _polyak_instance(rng):
         G, h = G * scale[:, None], h * scale
     if rng.random() < 0.5:
         G = np.asfortranarray(G)
-    tolerance = float(rng.choice([1e-4, 1e-7, 1e-9]))
-    return PiecewiseMaxProblem(G, h), tolerance
+    return PiecewiseMaxProblem(G, h)
 
 
-def _polyak_cases():
-    """The 200 drawn instances, a runaway descent, and a constant piece that
-    is the maximum (gg == 0)."""
+def _rank_deficient_instance(rng):
+    """G = randn(m, r) @ randn(r, d) with r < d: a line along which every
+    piece is constant."""
+    d = int(rng.integers(2, 13))
+    r = int(rng.integers(1, d))
+    m = int(rng.integers(1, 61))
+    G = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
+    return PiecewiseMaxProblem(G, rng.standard_normal(m))
+
+
+def _iterative_cases():
+    """200 drawn instances, a runaway descent, a constant piece that is the
+    maximum, 48 rank-deficient draws and the slab -1 <= x <= 1 in two
+    variables."""
     rng = np.random.default_rng(28)
-    cases = [_polyak_instance(rng) for _ in range(200)]
-    cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [0.5, -2.0]], h=[0.0, 1.0]), 1e-7))
-    cases.append((PiecewiseMaxProblem(G=[[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], h=[0.0, 0.0, 5.0]),
-                  1e-7))
+    cases = [_iterative_instance(rng) for _ in range(200)]
+    cases.append(PiecewiseMaxProblem(G=[[1.0, 0.0], [0.5, -2.0]], h=[0.0, 1.0]))
+    cases.append(PiecewiseMaxProblem(G=[[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], h=[0.0, 0.0, 5.0]))
+    rng = np.random.default_rng(31)
+    cases += [_rank_deficient_instance(rng) for _ in range(48)]
+    cases.append(PiecewiseMaxProblem(G=[[1.0, 0.0], [-1.0, 0.0]], h=[-1.0, -1.0]))
     return cases
 
 
-def _same_result(got, want):
-    return (got.status is want.status and got.value == want.value
-            and got.converged == want.converged and got.active_set == want.active_set
-            and got.x_star.tobytes() == want.x_star.tobytes())
-
-
-def test_subgradient_matches_reference():
-    """The buffered Polyak loop does the reference's arithmetic step for
-    step, counting its steps and level halvings: bit-identical results."""
-    outcomes = set()
-    for trial, (prob, tolerance) in enumerate(_polyak_cases()):
-        want = subgradient_reference.solve_subgradient(prob, tolerance)
-        got = minmax._polyak(prob, tolerance)
-        assert _same_result(got, want), trial
-        assert set(got.stats) == {"iterations", "level_halvings"}, trial
-        assert got.stats["level_halvings"] <= got.stats["iterations"] <= minmax.MAX_ITERS, trial
-        outcomes.add((want.status, want.converged))
-    assert outcomes == {(MinMaxStatus.MINIMIZED, True), (MinMaxStatus.MINIMIZED, False),
-                        (MinMaxStatus.UNBOUNDED_BELOW, False)}
-
-
 def _highs_minimum(prob):
-    """min over x of max(G x + h) by HiGHS on the epigraph LP; None when
-    HiGHS does not call it optimal."""
+    """min over x of max(G x + h) by HiGHS on the epigraph LP: its value, or
+    None when HiGHS calls the LP unbounded."""
     from scipy.optimize import linprog
 
     m, d = prob.G.shape
     res = linprog(np.append(np.zeros(d), 1.0), A_ub=np.hstack([prob.G, -np.ones((m, 1))]),
                   b_ub=-prob.h, bounds=[(None, None)] * (d + 1), method="highs")
+    assert res.status in (0, 3), res.message
     return float(res.fun) if res.status == 0 else None
 
 
-def test_subgradient_is_certified_or_the_reference():
-    """On the reference cases every answer is either the vertex simplex's,
-    certified and within 1e-9 of HiGHS, or the Polyak loop's, bit for bit."""
-    paths = Counter()
-    for trial, (prob, tolerance) in enumerate(_polyak_cases()):
-        got = solve_subgradient(prob, tolerance)
-        if "pivots" in got.stats:
-            want = _highs_minimum(prob)
-            assert want is not None, trial
-            assert got.status is MinMaxStatus.MINIMIZED and got.converged, trial
-            assert abs(got.value - want) <= 1e-9 * max(1.0, abs(want)), trial
-            paths["vertex"] += 1
+def test_subgradient_matches_highs():
+    """Every verdict is HiGHS's: unbounded below exactly where HiGHS says
+    unbounded, otherwise the value within 1e-9 relative, and the pivots
+    counted in ``stats``."""
+    verdicts = Counter()
+    for trial, prob in enumerate(_iterative_cases()):
+        got = solve_subgradient(prob)
+        want = _highs_minimum(prob)
+        assert set(got.stats) == {"pivots"} and got.stats["pivots"] >= 0, trial
+        if want is None:
+            assert got.status is MinMaxStatus.UNBOUNDED_BELOW, trial
+            assert got.value < evaluate(prob, np.zeros(prob.d))[0], trial
         else:
-            want = subgradient_reference.solve_subgradient(prob, tolerance)
-            assert _same_result(got, want), trial
-            assert set(got.stats) == {"iterations", "level_halvings"}, trial
-            paths[got.status] += 1
-    assert paths["vertex"] >= 150 and paths[MinMaxStatus.UNBOUNDED_BELOW] >= 10, paths
+            assert got.status is MinMaxStatus.MINIMIZED, trial
+            assert abs(got.value - want) <= 1e-9 * max(1.0, abs(want)), trial
+        verdicts[got.status] += 1
+    assert min(verdicts.values()) >= 10 and len(verdicts) == 2, verdicts
 
 
 def test_subgradient_needs_no_lapack(monkeypatch):
