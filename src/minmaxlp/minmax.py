@@ -4,10 +4,14 @@ max_i (G_i . x + h_i).
 Two backends.  The exact one solves the epigraph LP (minimize t subject to
 G_i . x + h_i <= t) by randomized incremental insertion inside a symmetric
 bounding box, recursing on one fewer variable each time a constraint is
-violated; it is intended for low dimension.  Its recursion works on lists of
-Python floats rather than numpy arrays: a solve makes tens to hundreds of
-recursive calls, each on a handful of rows, and numpy's fixed cost per call
-(slicing, stacking, one dispatch per row) outweighed the arithmetic.  It
+violated.  Its work grows like (d+1)! m for d variables and m pieces; past
+(d+1)! m = 96 the iterative one is faster, so ``reduction._run_minmax``
+gives this one only smaller instances and badly scaled ones.  Called
+directly it solves any instance up to ``D_MAX`` variables.  Its recursion
+works on lists of Python floats rather than numpy arrays: a solve makes tens
+to hundreds of recursive calls, each on a handful of rows, and numpy's fixed
+cost per call (slicing, stacking, one dispatch per row) outweighed the
+arithmetic.  It
 takes the constraints as columns and normalizes the rows it is handed once,
 at ``_seidel``'s entry.  Nearly all subproblems have one to four variables,
 and those levels are flat loops over the unit rows as columns: the four- and

@@ -11,14 +11,16 @@ slope; its optimum dualizes straight back to the LP optimum.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ReductionError
+from .errors import ReductionError, SolverError
 from .minmax import (
+    D_MAX,
     MinMaxResult,
     MinMaxStatus,
     PiecewiseMaxProblem,
@@ -69,9 +71,12 @@ class PhaseOneResult:
 class SolveOptions:
     """Settings of a solve; a bad value raises ReductionError led by the field's name.
 
-    ``tolerance`` is the exact backend's slack and the threshold below which
-    the intercept |t*| reads as ``unbounded``; the iterative backend takes
-    no tolerance."""
+    ``solver="exact"`` routes each min-max stage by its size and scale (see
+    ``_run_minmax``); ``"subgradient"`` runs the vertex simplex on every
+    stage.  ``tolerance`` is Seidel's slack and the threshold below which
+    the intercept |t*| reads as ``unbounded``.  ``seed`` and that slack
+    reach only the stages Seidel solves; the vertex simplex takes neither,
+    and its answers are deterministic on one numpy build."""
 
     seed: int = 0
     tolerance: float = 1e-9
@@ -91,21 +96,41 @@ class SolveOptions:
 
 
 def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResult:
-    if options.solver == "exact":
-        return solve_exact(prob, seed=options.seed, tolerance=options.tolerance)
-    return solve_subgradient(prob)
+    """The one place that picks the algorithm for a min-max stage.
+
+    ``solver="subgradient"`` always runs the vertex simplex.  Under
+    ``"exact"``, Seidel's recursion costs about (d+1)! m for d variables and
+    m pieces, and the certified vertex simplex wins once (d+1)! m > 96
+    (measured crossovers: about m=16 at d=2, m=32-64 at d=1, every m >= 8 at
+    d >= 3), so such an instance runs the simplex, with Seidel as the
+    fallback when it raises.  Seidel keeps the small instances, those past
+    ``D_MAX`` (it raises the cap error) and those with a piece whose scale
+    max(max|G_i|, |h_i|) is below 1e-6 of the largest: the simplex's
+    tolerances are absolute in units of the largest piece, while Seidel
+    normalizes every row."""
+    if options.solver == "subgradient":
+        return solve_subgradient(prob)
+    if prob.d <= D_MAX and math.factorial(prob.d + 1) * prob.m > 96:
+        scales = np.maximum(np.abs(prob.G).max(axis=1), np.abs(prob.h))
+        if scales.min() >= 1e-6 * scales.max():
+            try:
+                return solve_subgradient(prob)
+            except SolverError:
+                pass
+    return solve_exact(prob, seed=options.seed, tolerance=options.tolerance)
 
 
 def phase1(lp: LinearProgram, options: SolveOptions | None = None) -> PhaseOneResult:
     """Search for a strict interior point by minimizing max(A p - b).
 
-    A negative optimum certifies its argmin as strictly feasible.  A max
-    without a minimum means arbitrarily deep interior, and the backend's
-    witness of that descent, returned as it is, is strictly inside; the
-    iterative backend's sits 1 + |t| below its last vertex, a moderate
-    depth.  NoStrictInterior covers both genuinely infeasible programs and
-    feasible ones with empty interior; the construction cannot tell them
-    apart.
+    The min-max stage is routed as every stage is (``_run_minmax``).  A
+    negative optimum certifies its argmin as strictly feasible.  A max
+    without a minimum means arbitrarily deep interior, and the witness of
+    that descent, returned as it is, is strictly inside: Seidel's lies on
+    its doubled box, the vertex simplex's 1 + |t| below its last vertex, a
+    moderate depth.  NoStrictInterior covers both genuinely infeasible
+    programs and feasible ones with empty interior; the construction cannot
+    tell them apart.
     """
     options = options or SolveOptions()
     result = _run_minmax(PiecewiseMaxProblem(G=lp.A, h=-lp.b), options)
@@ -238,11 +263,13 @@ def solve(
     interior_hint: np.ndarray | None = None,
     options: SolveOptions | None = None,
 ) -> Solution:
-    """Solve the LP end to end; the status carries the outcome.  Raises on
-    configuration problems (dimension cap) and with :class:`SolverError`:
-    a known defect of the exact backend ("inconsistent subsystem") on some
-    programs whose rows are rescaled by large factors, and from the
-    iterative backend at its pivot cap or when its certificate fails."""
+    """Solve the LP end to end; the status carries the outcome.  Each
+    min-max stage runs Seidel or the vertex simplex as ``_run_minmax``
+    picks.  Raises on configuration problems (dimension cap) and with
+    :class:`SolverError`: a known defect of Seidel ("inconsistent
+    subsystem") on some programs whose rows are rescaled by large factors,
+    and, under ``solver="subgradient"`` only, from the vertex simplex at its
+    pivot cap or when its certificate fails."""
     options = options or SolveOptions()
     p0 = check_interior(lp, interior_hint, options)
     if isinstance(p0, SolutionStatus):

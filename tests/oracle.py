@@ -149,8 +149,14 @@ def oracle_solve(lp: LinearProgram) -> Solution:
         )
 
     # feasible, no ray found, no vertex: optimum sits on a non-pointed face
+    return highs_solve(lp)
+
+
+def highs_solve(lp: LinearProgram) -> Solution:
+    """Solve with HiGHS alone, for programs too wide to enumerate."""
     from scipy.optimize import linprog
 
+    c = lp.c if lp.sense is Sense.MAXIMIZE else -lp.c
     res = linprog(c=-c, A_ub=lp.A, b_ub=lp.b, bounds=[(None, None)] * lp.dimension,
                   method="highs")
     if res.status == 3:

@@ -27,7 +27,7 @@ from minmaxlp.minmax import PiecewiseMaxProblem, MinMaxStatus, solve_exact
 from minmaxlp.model import LinearProgram, SolutionStatus
 from minmaxlp.reduction import PhaseOneStatus, SolveOptions, phase1, solve
 from minmaxlp.transforms import apply_rotation, rotation_to_last_axis
-from oracle import oracle_solve
+from oracle import highs_solve, oracle_solve
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -234,3 +234,21 @@ def test_criterion_8_cli_golden_files(tmp_path):
             assert code == expected_code
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == golden
+
+
+def test_criterion_9_wide_programs_against_highs():
+    """40 bounded programs with 5-8 variables and 40-160 rows: statuses and
+    objectives match HiGHS (1e-6 relative), every solution is feasible to
+    1e-7, and all 40 solves finish within 5 s."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(109)
+    for trial in range(40):
+        d, n = int(rng.integers(5, 9)), int(rng.integers(40, 161))
+        lp, _ = bounded_lp(rng, d=d, n=n, sense="maximize" if trial % 2 else "minimize")
+        sol = solve(lp, options=SolveOptions(seed=trial))
+        ref = highs_solve(lp)
+        assert ref.status is SolutionStatus.OPTIMAL
+        assert sol.status is SolutionStatus.OPTIMAL, trial
+        assert abs(sol.objective - ref.objective) <= 1e-6 * (1 + abs(ref.objective)), trial
+        assert sol.residual <= 1e-7, trial
+    assert time.perf_counter() - start < 5.0

@@ -11,7 +11,8 @@ import pytest
 
 from dual_geometry import Plane, is_feasible_dual_plane
 from lpgen import bounded_lp, flat_lp, infeasible_lp, unbounded_lp
-from minmaxlp.errors import DimensionCapError, ReductionError, TransformError
+from minmaxlp import reduction
+from minmaxlp.errors import DimensionCapError, ReductionError, SolverError, TransformError
 from minmaxlp.minmax import (
     MinMaxResult,
     MinMaxStatus,
@@ -518,6 +519,71 @@ class TestSubgradientBackend:
         assert sol.status is SolutionStatus.OPTIMAL
         np.testing.assert_allclose(sol.x, x_star, rtol=0, atol=1e-6)
         assert sol.objective == pytest.approx(float(lp.c @ x_star), rel=0, abs=1e-6)
+
+
+def _pieces(d, m, seed=0):
+    rng = np.random.default_rng(seed)
+    return PiecewiseMaxProblem(G=rng.uniform(-1.0, 1.0, (m, d)), h=rng.uniform(-1.0, 1.0, m))
+
+
+def _no_simplex(prob):
+    raise SolverError("vertex simplex switched off")
+
+
+class TestRouting:
+    """Under solver="exact", _run_minmax runs the vertex simplex once
+    (d+1)!·m > 96 and every piece's scale is within 1e6 of the largest;
+    ``stats`` tells the backends apart."""
+
+    @pytest.mark.parametrize("d, m", [(1, 49), (2, 17), (3, 5), (4, 1), (10, 30)])
+    def test_above_the_rule_runs_the_simplex(self, d, m):
+        result = reduction._run_minmax(_pieces(d, m), SolveOptions())
+        assert set(result.stats) == {"pivots"}
+
+    @pytest.mark.parametrize("d, m", [(1, 48), (2, 16), (3, 4), (1, 1)])
+    def test_at_or_below_the_rule_runs_seidel(self, d, m):
+        prob = _pieces(d, m)
+        result = reduction._run_minmax(prob, SolveOptions(seed=2))
+        assert set(result.stats) == {"subproblems", "box_doublings"}
+        assert result.x_star.tobytes() == solve_exact(prob, seed=2).x_star.tobytes()
+
+    @pytest.mark.parametrize("factor, keys", [(1e-7, {"subproblems", "box_doublings"}),
+                                              (1e-4, {"pivots"})])
+    def test_pieces_spanning_more_than_1e6_run_seidel(self, factor, keys):
+        prob = _pieces(2, 40)
+        G, h = prob.G.copy(), prob.h.copy()
+        G[7] *= factor
+        h[7] *= factor
+        result = reduction._run_minmax(PiecewiseMaxProblem(G=G, h=h), SolveOptions())
+        assert set(result.stats) == keys
+
+    def test_cap_still_raises(self):
+        with pytest.raises(DimensionCapError):
+            reduction._run_minmax(_pieces(11, 30), SolveOptions())
+
+    def test_simplex_failure_falls_back_to_seidel_bit_for_bit(self, monkeypatch):
+        prob = _pieces(3, 40)
+        assert set(reduction._run_minmax(prob, SolveOptions()).stats) == {"pivots"}
+        monkeypatch.setattr(reduction, "solve_subgradient", _no_simplex)
+        got = reduction._run_minmax(prob, SolveOptions(seed=4, tolerance=1e-8))
+        want = solve_exact(prob, seed=4, tolerance=1e-8)
+        assert got.status is want.status
+        assert got.x_star.tobytes() == want.x_star.tobytes()
+        assert (got.value, got.active_set, got.stats) == (want.value, want.active_set, want.stats)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: bounded_lp(rng)[0], unbounded_lp, flat_lp, infeasible_lp,
+    ], ids=["bounded", "unbounded", "flat", "infeasible"])
+    def test_routed_solves_match_seidel_only(self, make, monkeypatch):
+        rng = np.random.default_rng(43)
+        programs = [make(rng) for _ in range(300)]
+        routed = [solve(lp, options=SolveOptions(seed=s)) for s, lp in enumerate(programs)]
+        monkeypatch.setattr(reduction, "solve_subgradient", _no_simplex)
+        for s, (lp, got) in enumerate(zip(programs, routed)):
+            want = solve(lp, options=SolveOptions(seed=s))
+            assert got.status is want.status, s
+            if want.objective is not None:
+                assert abs(got.objective - want.objective) <= 1e-12 * max(1.0, abs(want.objective)), s
 
 
 class TestDimensionCap:
