@@ -26,8 +26,8 @@ class SolverError(LPError):
 
 
 class DimensionCapError(SolverError):
-    """Problem dimension exceeds the exact backend's cap; use the
-    subgradient backend instead."""
+    """Problem dimension exceeds the exact backend's cap; the message names
+    the remedies: ``solver="subgradient"`` or a strict interior point."""
 
 
 class ReductionError(LPError):

@@ -4,24 +4,21 @@ max_i (G_i . x + h_i).
 Two backends.  The exact one solves the epigraph LP (minimize t subject to
 G_i . x + h_i <= t) by randomized incremental insertion inside a symmetric
 bounding box, recursing on one fewer variable each time a constraint is
-violated.  Its work grows like (d+1)! m for d variables and m pieces; past
-(d+1)! m = 96 the iterative one is faster, so ``reduction._run_minmax``
-gives this one only smaller instances and badly scaled ones.  Called
-directly it solves any instance up to ``D_MAX`` variables.  Its recursion
-works on lists of Python floats rather than numpy arrays: a solve makes tens
-to hundreds of recursive calls, each on a handful of rows, and numpy's fixed
-cost per call (slicing, stacking, one dispatch per row) outweighed the
-arithmetic.  It
-takes the constraints as columns and normalizes the rows it is handed once,
-at ``_seidel``'s entry.  Nearly all subproblems have one to four variables,
-and those levels are flat loops over the unit rows as columns: the four- and
-three-variable loops normalize their subproblems' rows as they eliminate,
-and the two-variable loop solves its one-variable subproblems in place, each
-with the arithmetic, and so the bits, of the plain list recursion kept in
-``tests/seidel_list_reference.py``.  Orders are drawn by shuffling lists,
-the same draws as ``rng.permutation`` at a third of the cost.  The iterative
-one, for any dimension, runs a vertex simplex on the same epigraph; it
-certifies every minimum it returns, and raises where the certificate fails.
+violated.  Its work grows like (d+1)! m for d variables and m pieces, so
+``reduction._run_minmax`` gives it the instances with (d+1)! m <= 96, the
+badly scaled ones and those the simplex fails on; called directly it solves
+any instance up to ``D_MAX`` variables.  It recurses on lists of Python
+floats, since numpy's fixed cost per call outweighed the arithmetic of its
+many small subproblems, and normalizes the rows it is handed once, at
+``_seidel``'s entry.  Its two- to four-variable levels are flat loops over
+the unit rows as columns, with the arithmetic, and so the bits, of the plain
+recursion kept in ``tests/seidel_list_reference.py``; orders are drawn by
+shuffling lists, the same draws as ``rng.permutation`` at a third of the
+cost.  The iterative one, for any dimension, runs a vertex simplex on the
+same epigraph and certifies every minimum it returns, raising where the
+certificate fails.  Its cost too is numpy's fixed cost per call, so it
+scales the pieces by :attr:`PiecewiseMaxProblem.scales`, evaluates them
+once at its final vertex and makes each pivot's choice on Python floats.
 """
 
 from __future__ import annotations
@@ -29,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import add, mul, truediv
 
 import numpy as np
 
 from .errors import DimensionCapError, SolverError
+from .model import _readonly
 
 # exact backend refuses instances wider than this many variables
 D_MAX = 10
@@ -63,16 +61,13 @@ class PiecewiseMaxProblem:
     h: np.ndarray
 
     def __post_init__(self) -> None:
-        G = np.array(self.G, dtype=float)
-        h = np.array(self.h, dtype=float)
+        G, h = _readonly(self.G), _readonly(self.h)
         if G.ndim != 2 or 0 in G.shape:
             raise SolverError("G must be a matrix with at least one row and one column")
         if h.shape != (G.shape[0],):
             raise SolverError("h must have one entry per row of G")
         if not (np.isfinite(G).all() and np.isfinite(h).all()):
             raise SolverError("pieces must be finite")
-        G.setflags(write=False)
-        h.setflags(write=False)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
 
@@ -83,6 +78,13 @@ class PiecewiseMaxProblem:
     @property
     def d(self) -> int:
         return self.G.shape[1]
+
+    @cached_property
+    def scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each piece's max|G_i| (|G| laid out by columns, so d - 1 elementwise
+        maxima) and max(max|G_i|, |h_i|): the routing test's and the simplex's."""
+        reach = np.abs(self.G.T, order="C").max(axis=0)
+        return reach, np.maximum(reach, np.abs(self.h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +105,7 @@ def evaluate(prob: PiecewiseMaxProblem, x: np.ndarray) -> tuple[float, int]:
     if x.shape != (prob.d,):
         raise SolverError(f"expected a point of length {prob.d}, got shape {x.shape}")
     values = prob.G @ x + prob.h
-    index = int(np.argmax(values))
+    index = int(values.argmax())
     return float(values[index]), index
 
 
@@ -112,8 +114,8 @@ def _result(prob: PiecewiseMaxProblem, x: np.ndarray,
     """The result at ``x``, from one evaluation of every piece: ``value`` is
     max(G x + h), and ``active_set`` the pieces within ACTIVE_TOL of it."""
     values = prob.G @ x + prob.h
-    value = float(values[int(np.argmax(values))])
-    active = np.flatnonzero(values >= value - ACTIVE_TOL * (1 + abs(value)))
+    value = float(values[values.argmax()])
+    active = (values >= value - ACTIVE_TOL * (1 + abs(value))).nonzero()[0]
     return MinMaxResult(status, x, value, tuple(active.tolist()), **fields)
 
 
@@ -479,8 +481,9 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
     """
     if prob.d > D_MAX:
         raise DimensionCapError(
-            f"exact backend is capped at {D_MAX} variables, got {prob.d}; "
-            "use solve_subgradient"
+            f"exact backend is capped at {D_MAX} variables, got {prob.d}; use solver='subgradient' "
+            "(--solver subgradient), which has no cap, or a strict interior point (interior_hint, "
+            "--interior-point), which skips phase 1, the stage with one variable more"
         )
     rng = np.random.default_rng(seed)
     box = box_half_width(prob)
@@ -517,14 +520,15 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
     that edge until t has fallen by 1 + |t| as witness.
     A minimum is returned when the multipliers y of the basis pieces are
     >= 0, sum to 1, and give max|y G_B| <= 1e-9 and
-    max(G x + h) - y . h_B <= 1e-9 max(1, |value|).  ``stats`` is
-    {"pivots": k}.  Raises :class:`SolverError` past 4(m + d + 1) pivots or
-    when that certificate fails."""
+    max(G x + h) - y . h_B <= 1e-9 max(1, |value|) in scaled units; that max
+    is the result's ``value`` over the scale, so one evaluation of the pieces
+    serves both.  ``stats`` is {"pivots": k}.  Raises :class:`SolverError`
+    past 4(m + d + 1) pivots or when that certificate fails."""
     m, d = prob.G.shape
-    scale = max(float(np.abs(prob.G).max()), float(np.abs(prob.h).max())) or 1.0
-    G, h = prob.G / scale, prob.h / scale
-    reach = np.abs(G).max(axis=1)  # largest |G_ij| of each row
-    rhs = np.append(-h, np.zeros(d))  # of each row; m + j is the pseudo-row x_j = 0
+    reach, scales = prob.scales
+    scale = float(scales.max()) or 1.0
+    G, h, reach = prob.G / scale, prob.h / scale, reach / scale  # reach: max|G_ij| of row i
+    rhs = np.concatenate((-h, np.zeros(d)))  # of each row; m + j is the pseudo-row x_j = 0
     top = int(h.argmax())
     inv = np.eye(d + 1)
     inv[d, :d], inv[d, d] = G[top], -1.0
@@ -533,23 +537,24 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
     flat = set()  # pseudo-rows whose edge is unblocked and level, until the next pivot
     pivots = 0
     while pivots < 4 * (m + d + 1):
-        y = -inv[d]  # the multipliers
+        y = (-inv[d]).tolist()  # the multipliers
         free = [k for k in range(d + 1) if basis[k] >= m and k not in flat]
-        k = max(free, key=lambda k: abs(y[k])) if free else int(y.argmin())
+        k = max(free, key=lambda k: abs(y[k])) if free else y.index(min(y))
         if not free and y[k] >= -1e-12:
             break
         # the edge that leaves row k, along which t falls
         u = inv[:, k] if free and y[k] > 0 else -inv[:, k]
-        rate = G @ u[:d] - u[d]
+        edge = u.tolist()
+        rate = G @ u[:d] - edge[d]
         rate[[i for i in basis if i < m and i != basis[k]]] = 0.0  # rows that stay tight
-        noise = 1e-11 * (reach * float(np.abs(u[:d]).max()) + abs(u[d]))
-        blocking = np.flatnonzero(rate > noise)
+        noise = 1e-11 * (reach * max(map(abs, edge[:d])) + abs(edge[d]))
+        blocking = (rate > noise).nonzero()[0]
         if not blocking.size:
             if free and abs(y[k]) <= 1e-12:
                 flat.add(k)
                 continue
             vertex = inv @ rhs[basis]
-            x = vertex[:d] + (1.0 + abs(vertex[d])) / -u[d] * u[:d]
+            x = vertex[:d] + (1.0 + abs(vertex[d])) / -edge[d] * u[:d]
             return _result(prob, x, MinMaxStatus.UNBOUNDED_BELOW, stats={"pivots": pivots})
         ratios = np.maximum(slack[blocking], 0.0) / rate[blocking]
         j = int(ratios.argmin())
@@ -559,7 +564,7 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
         # row r replaces row k: a rank-one update of the inverse
         row = G[r] @ inv[:d] - inv[d]
         col = inv[:, k] / row[k]
-        inv -= np.outer(col, row)
+        inv -= np.multiply.outer(col, row)
         inv[:, k] = col
         basis[k] = r
         flat.clear()
@@ -572,8 +577,9 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
     y = np.maximum(-inv[d, pieces], 0.0)
     y /= y.sum()
     x = inv[:d] @ rhs[basis]
-    value = float((G @ x + h).max())
+    result = _result(prob, x, stats={"pivots": pivots})
+    value = result.value / scale
     if (float(np.abs(y @ G[rows]).max()) > 1e-9
             or value - float(y @ h[rows]) > 1e-9 * max(1.0, abs(value))):
         raise SolverError("vertex simplex ended at a vertex whose optimality certificate fails")
-    return _result(prob, x, stats={"pivots": pivots})
+    return result

@@ -111,7 +111,7 @@ def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResul
     if options.solver == "subgradient":
         return solve_subgradient(prob)
     if prob.d <= D_MAX and math.factorial(prob.d + 1) * prob.m > 96:
-        scales = np.maximum(np.abs(prob.G).max(axis=1), np.abs(prob.h))
+        scales = prob.scales[1]
         if scales.min() >= 1e-6 * scales.max():
             try:
                 return solve_subgradient(prob)
@@ -181,7 +181,7 @@ def classify_and_recover(
     t_star = -float(result.value)
     if t_star >= -eps_unbounded:
         return SolutionStatus.UNBOUNDED, None
-    point = np.append(result.x_star, -1.0) / t_star
+    point = np.concatenate((result.x_star, [-1.0])) / t_star
     return SolutionStatus.OPTIMAL, point
 
 
@@ -197,7 +197,7 @@ def _pull_inside(A: np.ndarray, b: np.ndarray, p0: np.ndarray, x: np.ndarray) ->
     rising = direction > 0
     if not rising.any():
         return x
-    step = float(np.min(room[rising] / direction[rising]))
+    step = float((room[rising] / direction[rising]).min())
     if step >= 1.0:
         return x
     return p0 + max(step, 0.0) * (x - p0)
@@ -275,15 +275,9 @@ def solve(
     if isinstance(p0, SolutionStatus):
         return Solution(status=p0)
 
-    if not lp.c.any():
-        # constant objective: any feasible point is optimal
-        return Solution(
-            status=SolutionStatus.OPTIMAL,
-            x=p0,
-            objective=0.0,
-            residual=float((lp.A @ p0 - lp.b).max()),
-            interior_point=p0,
-        )
+    if not lp.c.any():  # constant objective: any feasible point is optimal
+        return Solution(status=SolutionStatus.OPTIMAL, x=p0, objective=0.0,
+                        residual=float((lp.A @ p0 - lp.b).max()), interior_point=p0)
 
     prob, transform = prepare(lp, p0)
     result = _run_minmax(prob, options)

@@ -11,6 +11,7 @@ program's arrays; :func:`recover_solution` maps a reduced point back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,7 @@ class HouseholderRotation:
 
     def __post_init__(self) -> None:
         if self.u_hat is not None:
-            u_hat = np.array(self.u_hat, dtype=float)
-            u_hat.setflags(write=False)
-            object.__setattr__(self, "u_hat", u_hat)
+            object.__setattr__(self, "u_hat", _readonly(self.u_hat))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -63,9 +62,9 @@ def _translated_offsets(lp: LinearProgram, p0: np.ndarray) -> np.ndarray:
     if not np.isfinite(p0).all():
         raise TransformError("interior point must be finite")
     margins = lp.A @ p0 - lp.b
-    loose = np.flatnonzero(margins >= -EPS_STRICT)
-    if loose.size:
-        row = int(loose[0])
+    loose = margins >= -EPS_STRICT
+    if loose.any():
+        row = int(loose.argmax())
         raise TransformError(
             f"point is not strictly interior: row {row} has margin {margins[row]:.3e}"
         )
@@ -78,12 +77,12 @@ def rotation_to_last_axis(c: np.ndarray) -> HouseholderRotation:
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size < 2:
         raise TransformError("rotation needs at least two coordinates")
-    norm = float(np.linalg.norm(c))
+    norm = math.sqrt(float(c @ c))  # np.linalg.norm's own arithmetic
     if norm == 0.0:
         raise TransformError("objective must be nonzero to define a rotation")
     u = c / norm
     u[-1] -= 1.0
-    u_norm = float(np.linalg.norm(u))
+    u_norm = math.sqrt(float(u @ u))
     if u_norm < EPS_IDENTITY:
         return HouseholderRotation(d=c.size, u_hat=None)
     return HouseholderRotation(d=c.size, u_hat=u / u_norm)

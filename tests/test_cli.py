@@ -98,6 +98,20 @@ class TestSolve:
         assert code == 0
         assert json.loads(payload)["objective"] == pytest.approx(1.0, abs=1e-5)
 
+    def test_dimension_cap_names_the_flags_that_help(self, tmp_path, capsys):
+        """Phase 1 of an 11-variable box is past the exact backend's cap: exit 4,
+        and stderr names the two flags that avoid it."""
+        d = 11
+        path = tmp_path / "wide.json"
+        path.write_bytes(save_lp(LinearProgram(
+            dimension=d, A=np.vstack([np.eye(d), -np.eye(d)]), b=np.ones(2 * d), c=np.ones(d))))
+        code, payload = run_cli(tmp_path, "solve", "--input", str(path))
+        assert (code, payload) == (4, b"")
+        err = capsys.readouterr().err
+        assert "--interior-point" in err and "--solver subgradient" in err
+        for flags in (["--solver", "subgradient"], ["--interior-point", ",".join(["0"] * d)]):
+            assert run_cli(tmp_path, "solve", "--input", str(path), *flags)[0] == 0, flags
+
     def test_missing_input_file(self, tmp_path):
         code, payload = run_cli(tmp_path, "solve", "--input", str(tmp_path / "nope.json"))
         assert code == 4

@@ -42,12 +42,12 @@ def _resolves(module, dotted: str) -> bool:
 
 
 def test_docstring_references_resolve():
-    """Every :func:`x` and :class:`x` in the package's sources names something
+    """Every :func:`x`, :class:`x` and :attr:`x` in the package's sources names something
     in its own module or in the package, so a rename or a deletion cannot
     leave a stale one behind."""
     cited, stale = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
-        names = re.findall(r":(?:func|class):`~?([\w.]+)`", path.read_text(encoding="utf-8"))
+        names = re.findall(r":(?:func|class|attr):`~?([\w.]+)`", path.read_text(encoding="utf-8"))
         if not names:
             continue
         # importing __main__ would run the command line; it is the package's

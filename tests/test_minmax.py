@@ -8,10 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import lpgen
 import seidel_list_reference
 import seidel_reference
+import simplex_reference
 from bruteforce import reference_minmax
-from minmaxlp import minmax
+from minmaxlp import minmax, reduction
 from minmaxlp.errors import DimensionCapError, SolverError
 from minmaxlp.minmax import (
     TIE_TOL,
@@ -679,3 +681,68 @@ def test_subgradient_needs_no_lapack(monkeypatch):
     result = solve_subgradient(prob)
     assert result.status is MinMaxStatus.MINIMIZED
     assert set(result.stats) == {"pivots"}
+
+
+def _bits(value) -> bytes:
+    """A float or an array by its bytes: -0.0 == 0.0, but their bytes differ."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _outcome(solver, prob):
+    """Every field of ``solver(prob)``, floats as bytes, or the error it raised."""
+    try:
+        r = solver(prob)
+    except SolverError as exc:
+        return "raised", str(exc)
+    return r.status, _bits(r.x_star), _bits(r.value), r.active_set, r.stats
+
+
+def test_simplex_matches_reference_bits():
+    """``solve_subgradient`` takes every decision of the loop kept in
+    ``tests/simplex_reference.py`` and returns its bits: status, ``x_star``,
+    ``value``, ``active_set`` and ``stats``."""
+    for trial, prob in enumerate(_iterative_cases()):
+        want = _outcome(simplex_reference.solve_subgradient, prob)
+        assert _outcome(solve_subgradient, prob) == want, trial
+
+
+@pytest.mark.parametrize("make", [lpgen.interior_lp, lpgen.bounded_lp, lpgen.unbounded_lp,
+                                  lpgen.flat_lp, lpgen.infeasible_lp],
+                         ids=lambda make: make.__name__)
+def test_solves_match_reference_simplex_bits(monkeypatch, make):
+    """300 programs of each generator, solved with the default routing,
+    with every stage on the vertex simplex and, where a point is planted,
+    hinted: each ``Solution`` has the bytes it has when
+    ``reduction.solve_subgradient`` is the reference loop."""
+    rng = np.random.default_rng(19)
+    runs = []
+    for _ in range(300):
+        lp = make(rng)
+        lp, point = lp if isinstance(lp, tuple) else (lp, None)
+        runs += [(lp, None, "exact"), (lp, None, "subgradient")]
+        runs += [(lp, point, "exact")] if point is not None else []
+
+    calls = Counter()
+
+    def solve_all():
+        out = []
+        for lp, point, solver in runs:
+            sol = reduction.solve(lp, interior_hint=point,
+                                  options=reduction.SolveOptions(solver=solver))
+            out.append((sol.status, *(None if v is None else _bits(v) for v in (
+                sol.x, sol.objective, sol.residual, sol.interior_point))))
+        return out
+
+    def counting(prob, solver=solve_subgradient):
+        calls[solver] += 1
+        return solver(prob)
+
+    monkeypatch.setattr(reduction, "solve_subgradient", counting)
+    got = solve_all()
+    monkeypatch.setattr(reduction, "solve_subgradient",
+                        lambda prob: counting(prob, simplex_reference.solve_subgradient))
+    assert solve_all() == got
+    # both times the same stages ran the simplex, at least one per subgradient run
+    subgradient_runs = sum(solver == "subgradient" for *_, solver in runs)
+    assert calls[solve_subgradient] == calls[simplex_reference.solve_subgradient]
+    assert calls[solve_subgradient] >= subgradient_runs
