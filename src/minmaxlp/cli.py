@@ -12,9 +12,9 @@ interior point), 4 unusable input, which includes an unreadable or non-UTF-8
 Output is byte deterministic for a fixed seed.
 
 Run it as the installed `minmaxlp` script, as `python -m minmaxlp`, or
-in-process through `main(argv)`, which may be called any number of times: the
-argument parser is built once per process and reused, since every parse
-starts from a fresh namespace.
+in-process by `main(argv)` any number of times: the parsers are built once per
+process and parse into fresh namespaces; a subcommand's parser takes its own
+arguments; the top one answers only help, unknown commands and stray arguments.
 """
 
 from __future__ import annotations
@@ -55,16 +55,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="minmaxlp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, blurb in (
         ("solve", "solve the program end to end"),
         ("phase1", "find a strict interior point"),
         ("reduce", "emit the min-max instance for a stage"),
         ("viz", "draw a two-dimensional program as SVG"),
     ):
-        p = sub.add_parser(name, help=blurb)
+        p = commands[name] = sub.add_parser(name, help=blurb)
         p.add_argument("--input", required=True, help="program JSON file")
         p.add_argument("--output", help="write here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         if name == "reduce":
             p.add_argument("--stage", choices=("phase1", "support"), default="support")
-    return parser
+    return parser, commands
 
 
 def _parse_point(text: str | None) -> np.ndarray | None:
@@ -101,13 +102,9 @@ def run(args: argparse.Namespace, text: bytes, options: SolveOptions) -> tuple[i
 
     if args.command == "phase1":
         res = phase1(lp, options)
-        doc = {
-            "status": res.status.value,
-            "p0": [float(v) for v in res.p0],
-            "margin": float(res.margin),
-        }
         code = EXIT_OK if res.status is PhaseOneStatus.STRICT_INTERIOR else EXIT_INFEASIBLE
-        return code, _dumps(doc)
+        return code, _dumps({"status": res.status.value, "p0": [float(v) for v in res.p0],
+                             "margin": float(res.margin)})
 
     point = _parse_point(args.interior_point)
     if args.command == "solve":
@@ -137,8 +134,12 @@ def run(args: argparse.Namespace, text: bytes, options: SolveOptions) -> tuple[i
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args, rest = None, True  # the top parser answers what a subcommand's parser leaves
+    if argv and (sub := commands.get(argv[0])):
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args = parser.parse_args(argv) if rest else args
     if args.command == "reduce" and args.stage == "phase1" and args.interior_point is not None:
         # that stage dumps the raw program, which no point changes
         parser.error("--interior-point does not apply to --stage phase1")

@@ -102,11 +102,11 @@ def render_svg(lp: LinearProgram, solution: Solution | None = None) -> bytes:
     A = np.asarray(lp.A, dtype=float)
     b = np.asarray(lp.b, dtype=float)
 
-    # each row once: its coefficients, |a| (np.linalg.norm row by row, whose
-    # rounding the batched norm does not always reproduce) and its line
+    # each row once: its coefficients, |a| (sqrt(a . a) row by row, as np.linalg.norm
+    # does, whose rounding the batched norm does not always reproduce) and its line
     rows = []
     for row, (a0, a1), rhs in zip(A, A.tolist(), b.tolist()):
-        norm = float(np.linalg.norm(row))
+        norm = math.sqrt(row.dot(row))
         rows.append((a0, a1, norm, _line_geometry(a0, a1, rhs, norm)))
 
     duals = _dual_points(A, b) if (b > 0).all() else None

@@ -223,8 +223,36 @@ def load_lp(text: bytes | str) -> LinearProgram:
     return lp
 
 
+def _float_list(values: list) -> str | None:
+    """Finite floats or equal rows of them as json.dumps(indent=2) writes the value, else None."""
+    sep, item, floats = ",\n    ", "%s", values
+    if values and type(values[0]) is list:  # an item per row, a float repr per %s
+        width = len(values[0])
+        if not width or set(map(type, values)) != {list} or set(map(len, values)) != {width}:
+            return None
+        item = "[\n      " + ",\n      ".join(["%s"] * width) + "\n    ]"
+        floats = chain.from_iterable(values)
+    try:  # a tuple from a list: one grown from an iterator piles up on CPython's free lists
+        text = sep.join([item] * len(values)) % tuple(list(map(float.__repr__, floats)))
+    except TypeError:  # an entry that is not a float
+        return None
+    # repr writes a letter n for nan and inf only; an empty list is left to json
+    return f"[\n    {text}\n  ]" if text and "n" not in text else None
+
+
 def _dumps(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """``(json.dumps(doc, indent=2) + "\\n").encode()``, byte for byte; a document
+    holding more than ``_float_list`` values, strings and numbers goes to json.dumps."""
+    items = []
+    for key, value in doc.items():
+        text = (_float_list(value) if isinstance(value, list) else json.dumps(value)
+                if isinstance(value, (str, int, float, type(None))) else None)
+        if text is None or not isinstance(key, str):
+            break
+        items.append(f"  {json.dumps(key)}: {text}")
+    whole = len(items) == len(doc) > 0
+    body = "{\n" + ",\n".join(items) + "\n}" if whole else json.dumps(doc, indent=2)
+    return (body + "\n").encode("utf-8")
 
 
 def save_lp(lp: LinearProgram) -> bytes:

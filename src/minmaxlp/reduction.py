@@ -100,10 +100,10 @@ def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResul
 
     ``solver="subgradient"`` always runs the vertex simplex.  Under
     ``"exact"``, Seidel's recursion costs about (d+1)! m for d variables and
-    m pieces, and the certified vertex simplex wins once (d+1)! m > 96
-    (measured crossovers: about m=16 at d=2, m=32-64 at d=1, every m >= 8 at
-    d >= 3), so such an instance runs the simplex, with Seidel as the
-    fallback when it raises.  Seidel keeps the small instances, those past
+    m pieces; past (d+1)! m = 96 the certified vertex simplex runs, with Seidel
+    as the fallback when it raises (on the pipeline's stages of 12-30 pieces
+    the two tie at d=1; the simplex is faster from m=12 at d=2 and at every m
+    at d >= 3).  Seidel keeps the small instances, those past
     ``D_MAX`` (it raises the cap error) and those with a piece whose scale
     max(max|G_i|, |h_i|) is below 1e-6 of the largest: the simplex's
     tolerances are absolute in units of the largest piece, while Seidel

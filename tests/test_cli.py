@@ -382,6 +382,11 @@ def test_repeated_calls_build_the_parser_once_and_keep_no_state(monkeypatch, cap
         (["solve", "--input", tilted], 0, None),
         (["solve", "--input", bounded], 0, "bounded.solution.json"),
         (["solve", "--input", str(DATA / "unbounded.json")], 2, "unbounded.solution.json"),
+        # what the top parser answers: an unknown command, a stray argument, help
+        (["bogus"], 4, None),
+        (["solve", "--input", bounded, "stray"], 4, None),
+        (["--help"], 0, None),
+        (["reduce", "--input", bounded], 0, "bounded.reduce_support.json"),
     ]
     # usage messages are wrapped to the terminal width: fix it for both sides
     monkeypatch.setenv("COLUMNS", "80")
@@ -408,6 +413,88 @@ def test_repeated_calls_build_the_parser_once_and_keep_no_state(monkeypatch, cap
         if golden is not None:
             assert got[1] == (GOLDEN / golden).read_bytes(), argv
     assert len(built) == len(set(built)), built
+
+
+_BOUNDED = "bounded.json"  # the tests run in DATA
+_DISPATCH = [
+    *(
+        [name, *flags]
+        for name, extra in (
+            ("solve", ["--interior-point", "0.25,0"]),
+            ("phase1", []),
+            ("reduce", ["--stage", "phase1"]),
+            ("reduce", ["--interior-point", "0,0"]),
+            ("viz", ["--interior-point", "0,0"]),
+        )
+        for flags in (
+            ["--input", _BOUNDED, "--seed", "3", "--tolerance", "1e-8", "--solver", "subgradient",
+             "--output", "o.json", *extra],
+            [f"--input={_BOUNDED}", "--seed=3", "--tolerance=1e-8", "--solver=subgradient",
+             "--output=o.json", *(f"{flag}={value}" for flag, value in zip(extra[::2], extra[1::2]))],
+        )
+    ),
+    ["solve", "--inp", _BOUNDED],
+    ["reduce", "--inp", _BOUNDED, "--sta", "phase1"],
+    # edge command lines
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["bogus"],
+    ["bogus", "--input", _BOUNDED],
+    ["sol", "--input", _BOUNDED],
+    ["-x"],
+    ["solve"],
+    ["solve", "-h"],
+    ["reduce", "--help"],
+    ["viz", "--input", _BOUNDED, "--he"],
+    ["solve", "--inp"],
+    ["solve", "--input", _BOUNDED, "stray"],
+    ["solve", "stray", "--input", _BOUNDED],
+    ["solve", "--input", _BOUNDED, "-x"],
+    ["solve", "--s", "1", "--input", _BOUNDED],
+    ["solve", "--input", _BOUNDED, "--seed", "x"],
+    ["solve", "--input", _BOUNDED, "--solver", "simplex"],
+    ["solve", "--input", _BOUNDED, "--interior-point", "-1,2"],
+    ["solve", "--input", _BOUNDED, "--interior-point=-1,2"],
+    ["--"],
+    ["--", "solve", "--input", _BOUNDED],
+    ["solve", "--", "--input", _BOUNDED],
+    ["solve", "--input", _BOUNDED, "--"],
+    ["phase1", "--input", _BOUNDED, "--interior-point"],
+    ["phase1", "--input", _BOUNDED, "--interior-point", "0,0"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH, ids=" ".join)
+def test_subcommand_parsers_answer_as_the_top_parser(argv, monkeypatch, capsys):
+    """main hands a subcommand's arguments straight to its parser; it must
+    give the namespace, or the exit code, stdout and stderr, that the top
+    parser's parse_args gives on the same command line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(DATA)
+    seen = []
+
+    def record(args, text, options):  # in place of run: keep what main parsed
+        seen.append(vars(args))
+        return 0, b""
+
+    monkeypatch.setattr(cli, "run", record)
+
+    def outcome(parse):
+        try:
+            result = parse()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    def through_main():
+        assert main(argv) == 0
+        return seen.pop()
+
+    parser = cli._build_parser()[0]
+    assert outcome(through_main) == outcome(lambda: vars(parser.parse_args(argv)))
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -22,6 +22,7 @@ from minmaxlp import (
     solve,
     validate,
 )
+from minmaxlp.model import _dumps
 
 
 def square_lp():
@@ -290,3 +291,55 @@ def test_load_lp_matches_the_per_entry_reference(text):
     LoadError message, of the loader that converts every entry with
     float()."""
     assert _outcome(load_lp, text) == _outcome(load_reference.load_lp, text)
+
+
+# the writer's documents: float lists and matrices as the package writes
+# them, next to every other value json.dumps takes, which it must hand on
+_edge_floats = [-0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 0.1, 2.0**53]
+_written = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_edge_floats)
+_any_float = _written | st.sampled_from([math.nan, math.inf, -math.inf])
+_text = st.text() | st.sampled_from(["é", "\"", "\\", "\n", "\x00", "\x1f", "\u2028", "\U0001f600"])
+_scalar = st.one_of(
+    _text, st.none(), st.booleans(), _any_float,
+    st.integers(-10, 10), st.integers(-(2**80), 2**80), st.integers(10**300, 10**400),
+)
+# what the writer writes itself: float lists and equally long rows of them,
+# strings and numbers
+_own = st.one_of(
+    st.lists(_written, max_size=6),
+    st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(_written, min_size=width, max_size=width), max_size=5)),
+    _text, _written, st.integers(-(2**80), 2**80),
+)
+# and what it must hand to json.dumps
+_other = st.one_of(
+    _scalar,
+    st.lists(st.lists(_written, max_size=3), max_size=4),  # ragged
+    st.lists(_any_float, max_size=4),  # nan and inf
+    st.lists(st.lists(_any_float, min_size=2, max_size=2), max_size=3),
+    st.lists(_scalar, max_size=3),
+    st.lists(st.lists(st.lists(_written, max_size=2), max_size=2), max_size=2),
+    st.tuples(_written, _written),
+    st.dictionaries(_text, _scalar, max_size=2),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(_text, _own, max_size=6)
+       | st.dictionaries(_text | st.integers(-3, 3), _own | _other, max_size=6))
+@example({})
+@example({"status": "strict_interior", "p0": [0.25, -0.0], "margin": -0.5})
+@example({"G": [[1e16, 5e-324], [-0.0, 1e-7]], "h": [0.1, -2.5], "stage": "support"})
+@example({"name": "é\"\n", "dimension": 2**70, "A": [[1.0, 2.0]], "b": [1.0],
+          "objective": [0.0, 1.0], "sense": "maximize"})
+@example({"x": [1.0, math.nan]})
+@example({"G": [[1.0, -math.inf]], "h": []})
+@example({"G": [[], []]})
+@example({"A": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]})
+@example({"A": [[1.0, 2.0], {3.0: "x", 4.0: "y"}]})
+@example({"A": [[1.0], (2.0,)]})
+def test_writer_matches_json_dumps(doc):
+    """_dumps writes float lists itself and must give json.dumps(indent=2)'s
+    bytes on every document, those it hands to json.dumps included."""
+    assert _dumps(doc) == (json.dumps(doc, indent=2) + "\n").encode()
