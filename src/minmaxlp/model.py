@@ -28,6 +28,11 @@ class SolutionStatus(str, Enum):
 
 
 def _readonly(values) -> np.ndarray:
+    """``values`` as a read-only float array; an array that is one already and
+    owns its memory is taken as it is, not copied."""
+    if (type(values) is np.ndarray and values.dtype == np.float64 and values.base is None
+            and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
@@ -38,8 +43,9 @@ class LinearProgram:
     """maximize (or minimize) c.x subject to A x <= b over x in R^d.
 
     Every row is a "<=" constraint; ">=" rows must be pre-negated by the
-    caller. Construction coerces the arrays to float and freezes them but
-    does no shape checking -- run :func:`validate` for that.
+    caller. Construction coerces the arrays to float and freezes them (a
+    frozen float array that owns its memory is kept, not copied) but does no
+    shape checking -- run :func:`validate` for that.
     """
 
     dimension: int
@@ -130,14 +136,18 @@ def _require_number(value, where: str) -> float:
 
 
 def _finite_floats(raw: list, entries) -> np.ndarray | None:
-    """``raw`` as one float array if all its ``entries`` are finite JSON numbers, else None."""
+    """``raw`` as one read-only float array if all its ``entries`` are finite
+    JSON numbers, else None; the program and solution types take it uncopied."""
     if not set(map(type, entries)) <= {int, float}:
         return None
     try:
         array = np.array(raw, dtype=float)
     except OverflowError:  # an integer beyond the float range
         return None
-    return array if np.isfinite(array).all() else None
+    if not np.isfinite(array).all():
+        return None
+    array.setflags(write=False)
+    return array
 
 
 def _require_vector(value, where: str) -> np.ndarray | list[float]:
@@ -216,11 +226,10 @@ def load_lp(text: bytes | str) -> LinearProgram:
     if name is not None and not isinstance(name, str):
         raise LoadError("name: expected a string")
 
-    lp = LinearProgram(dimension=dimension, A=A, b=b, c=c, sense=sense, name=name)
-    violations = validate(lp)
-    if violations:
-        raise LoadError("; ".join(violations))
-    return lp
+    # the checks above cover every other invariant that validate states
+    if dimension < 2:
+        raise LoadError("dimension: must be at least 2")
+    return LinearProgram(dimension=dimension, A=A, b=b, c=c, sense=sense, name=name)
 
 
 def _float_list(values: list) -> str | None:

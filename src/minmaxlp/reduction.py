@@ -185,15 +185,15 @@ def classify_and_recover(
     return SolutionStatus.OPTIMAL, point
 
 
-def _pull_inside(A: np.ndarray, b: np.ndarray, p0: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Shrink x toward the interior point p0 just enough to be feasible.
+def _pull_inside(A: np.ndarray, p0: np.ndarray, room: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Shrink x toward the interior point p0, whose room is b - A p0, just
+    enough to be feasible.
 
     A no-op when x already satisfies every constraint; otherwise the largest
     step along the segment [p0, x] that stays inside.  Soaks up the rounding
     that recovery through the dual point leaves on tight rows.
     """
     direction = A @ (x - p0)
-    room = b - A @ p0
     rising = direction > 0
     if not rising.any():
         return x
@@ -210,30 +210,39 @@ def check_interior(
     otherwise the phase-1 witness.  When there is none, the status that ends
     the solve: ``INPUT_ERROR`` (malformed program or hint),
     ``ORIGIN_NOT_INTERIOR`` (hint not strictly inside) or ``INFEASIBLE``."""
+    return _interior(lp, hint, options)[0]
+
+
+def _interior(
+    lp: LinearProgram, hint: np.ndarray | None, options: SolveOptions | None
+) -> tuple[np.ndarray | SolutionStatus, np.ndarray | None]:
+    """:func:`check_interior`'s answer, with the margins A p0 - b of an
+    accepted hint (None for a phase-1 witness or a status)."""
     if validate(lp):
-        return SolutionStatus.INPUT_ERROR
+        return SolutionStatus.INPUT_ERROR, None
     if hint is None:
         ph = phase1(lp, options)
         if ph.status is PhaseOneStatus.NO_STRICT_INTERIOR:
-            return SolutionStatus.INFEASIBLE
-        return ph.p0
+            return SolutionStatus.INFEASIBLE, None
+        return ph.p0, None
     # numpy casts [True, 0.5] to floats, so a list is checked entry by entry
     if isinstance(hint, (list, tuple)) and not all(
         isinstance(v, numbers.Real) and not isinstance(v, bool) for v in hint
     ):
-        return SolutionStatus.INPUT_ERROR
+        return SolutionStatus.INPUT_ERROR, None
     try:
         p0 = np.asarray(hint)
         if p0.dtype.kind in "bc":  # True is no coordinate, nor is 3j a real one
-            return SolutionStatus.INPUT_ERROR
+            return SolutionStatus.INPUT_ERROR, None
         p0 = np.asarray(p0, dtype=float)
     except (TypeError, ValueError):  # entries that are not numbers
-        return SolutionStatus.INPUT_ERROR
+        return SolutionStatus.INPUT_ERROR, None
     if p0.shape != (lp.dimension,) or not np.isfinite(p0).all():
-        return SolutionStatus.INPUT_ERROR
-    if float((lp.A @ p0 - lp.b).max()) >= -EPS_STRICT:
-        return SolutionStatus.ORIGIN_NOT_INTERIOR
-    return p0
+        return SolutionStatus.INPUT_ERROR, None
+    margins = lp.A @ p0 - lp.b
+    if float(margins.max()) >= -EPS_STRICT:
+        return SolutionStatus.ORIGIN_NOT_INTERIOR, None
+    return p0, margins
 
 
 def prepare(lp: LinearProgram, p0: np.ndarray) -> tuple[PiecewiseMaxProblem, ProblemTransform]:
@@ -248,7 +257,13 @@ def prepare(lp: LinearProgram, p0: np.ndarray) -> tuple[PiecewiseMaxProblem, Pro
     wrong length, is not finite or is not strictly inside, naming the first
     row within ``EPS_STRICT`` of it.  The transform maps the reduced
     coordinates back to the original ones."""
-    offsets = _translated_offsets(lp, p0)
+    return _support_problem(lp, p0, _translated_offsets(lp, p0))
+
+
+def _support_problem(
+    lp: LinearProgram, p0: np.ndarray, offsets: np.ndarray
+) -> tuple[PiecewiseMaxProblem, ProblemTransform]:
+    """:func:`prepare` once the offsets b - A p0 are computed and checked."""
     if lp.c.any():
         rotation = rotation_to_last_axis(lp.c if lp.sense is Sense.MAXIMIZE else -lp.c)
     else:
@@ -271,21 +286,25 @@ def solve(
     and, under ``solver="subgradient"`` only, from the vertex simplex at its
     pivot cap or when its certificate fails."""
     options = options or SolveOptions()
-    p0 = check_interior(lp, interior_hint, options)
+    p0, margins = _interior(lp, interior_hint, options)
     if isinstance(p0, SolutionStatus):
         return Solution(status=p0)
+    if margins is None:
+        margins = lp.A @ p0 - lp.b
 
     if not lp.c.any():  # constant objective: any feasible point is optimal
         return Solution(status=SolutionStatus.OPTIMAL, x=p0, objective=0.0,
-                        residual=float((lp.A @ p0 - lp.b).max()), interior_point=p0)
+                        residual=float(margins.max()), interior_point=p0)
 
-    prob, transform = prepare(lp, p0)
+    # prepare's checks on the margins at hand; b - A p0 is -(A p0 - b) to the bit
+    offsets = _translated_offsets(lp, p0, margins)
+    prob, transform = _support_problem(lp, p0, offsets)
     result = _run_minmax(prob, options)
     status, dual_point = classify_and_recover(prob, result, eps_unbounded=options.tolerance)
     if status is SolutionStatus.UNBOUNDED:
         return Solution(status=SolutionStatus.UNBOUNDED, interior_point=p0)
 
-    x = _pull_inside(lp.A, lp.b, p0, recover_solution(transform, dual_point))
+    x = _pull_inside(lp.A, p0, offsets, recover_solution(transform, dual_point))
     return Solution(
         status=SolutionStatus.OPTIMAL,
         x=x,

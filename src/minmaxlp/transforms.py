@@ -54,14 +54,18 @@ class HouseholderRotation:
         return R
 
 
-def _translated_offsets(lp: LinearProgram, p0: np.ndarray) -> np.ndarray:
-    """b - A p0, once ``p0`` is checked to be strictly inside ``lp``."""
+def _translated_offsets(
+    lp: LinearProgram, p0: np.ndarray, margins: np.ndarray | None = None
+) -> np.ndarray:
+    """b - A p0, once ``p0`` is checked to be strictly inside ``lp``;
+    ``margins`` is A p0 - b when the caller has computed it already."""
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (lp.dimension,):
         raise TransformError(f"interior point must have {lp.dimension} coordinates")
     if not np.isfinite(p0).all():
         raise TransformError("interior point must be finite")
-    margins = lp.A @ p0 - lp.b
+    if margins is None:
+        margins = lp.A @ p0 - lp.b
     loose = margins >= -EPS_STRICT
     if loose.any():
         row = int(loose.argmax())

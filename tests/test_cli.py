@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import minmaxlp
-from minmaxlp import cli
+from minmaxlp import cli, reduction
 from minmaxlp.cli import main
 from minmaxlp.model import LinearProgram, save_lp
 from minmaxlp.reduction import check_interior, prepare
@@ -291,6 +291,21 @@ class TestViz:
         code, payload = run_cli(tmp_path, "viz", "--input", str(DATA / "bounded.json"))
         assert code == 0
         assert payload == (GOLDEN / "bounded.svg").read_bytes()
+
+    def test_boxed_matches_golden_with_both_stages_on_seidel(self, tmp_path, monkeypatch):
+        # 16 rows: phase 1 (3! * 16 = 96 pieces' worth) and the support
+        # stage stay on Seidel, which computes on Python floats; four box
+        # rows are axis-parallel, one of them active at the optimum, and
+        # every offset is positive, so the dual points are drawn
+        def simplex(prob):
+            raise AssertionError(f"the vertex simplex ran on {prob.m} pieces")
+
+        monkeypatch.setattr(reduction, "solve_subgradient", simplex)
+        code, payload = run_cli(tmp_path, "viz", "--input", str(DATA / "boxed.json"))
+        assert code == 0
+        assert payload == (GOLDEN / "boxed.svg").read_bytes()
+        _, tags = _census(payload)
+        assert tags.count("line") == tags.count("circle") == 16
 
     def test_one_line_per_constraint_and_matching_dual_dots(self, tmp_path):
         _, payload = run_cli(tmp_path, "viz", "--input", str(DATA / "bounded.json"))

@@ -10,7 +10,8 @@ import numpy as np
 
 import figure_reference as reference
 from minmaxlp import LinearProgram, LPError, Solution, SolutionStatus, load_lp, solve
-from minmaxlp.figure import _intersections, render_svg
+from minmaxlp import figure
+from minmaxlp.figure import PALETTE, _intersections, _pairs, render_svg
 
 DATA = Path(__file__).parent / "data"
 
@@ -27,10 +28,15 @@ def pairwise_intersections(A, b):
     return points
 
 
+def test_pairs_are_the_upper_triangle_in_order():
+    for n in range(1, 41):
+        np.testing.assert_array_equal(_pairs(n).T, np.triu_indices(n, 1))
+
+
 def test_intersections_match_the_pair_loop():
     rng = np.random.default_rng(41)
     for _ in range(60):
-        n = int(rng.integers(1, 25))
+        n = int(rng.integers(1, 41))
         A = rng.uniform(-1.0, 1.0, (n, 2))
         # parallel and antiparallel copies of some rows, nudged by less or
         # more than the threshold so that some pairs count as parallel
@@ -48,11 +54,12 @@ def test_intersections_match_the_pair_loop():
 
 def _figure_case(rng):
     """A random two-dimensional program and a solution to draw with it."""
-    n = int(rng.integers(1, 25))
+    n = int(rng.integers(1, 41))
     if rng.random() < 0.2:
         # a slab: every row along one normal and no crossing, so the frame
-        # holds only the dual points and most lines miss it
-        normal = rng.normal(size=2)
+        # holds only the dual points and most lines miss it; some normals
+        # lie on an axis, so the lines miss it parallel to two of its sides
+        normal = rng.normal(size=2) if rng.random() < 0.5 else np.eye(2)[rng.integers(2)]
         A = normal * rng.choice([-2.0, -1.0, 0.5, 1.0], n)[:, None]
         b = rng.uniform(1.0, 50.0, n)
     else:
@@ -88,6 +95,7 @@ def _figure_case(rng):
 
 
 LINE = re.compile(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"')
+TICKS = re.compile(r'<path d="[^"]+" stroke="(#[0-9a-f]{6})"')
 
 
 def test_text_renderer_matches_the_element_tree_reference():
@@ -111,25 +119,58 @@ def test_text_renderer_matches_the_element_tree_reference():
         )
         ends = LINE.findall(want.decode())
         assert len(ends) == lp.n
-        seen["line off the frame"] += sum(
-            x1 == x2 and y1 == y2 for (x1, y1, x2, y2), v in zip(ends, vacuous) if not v
+        off = [x1 == x2 and y1 == y2 for x1, y1, x2, y2 in ends]
+        seen["line off the frame"] += sum(o for o, v in zip(off, vacuous) if not v)
+        seen["axis-parallel line off the frame"] += sum(
+            o for o, a in zip(off, lp.A) if (a == 0).sum() == 1
         )
+        seen["ticks drawn"] += sum(color in PALETTE for color in TICKS.findall(want.decode()))
+        seen["25 or more rows"] += lp.n >= 25
         seen["no dual points"] += int((lp.b <= 0).any())
         status = None if solution is None else solution.status
         seen[f"solution {status}"] += 1
         if status is SolutionStatus.OPTIMAL and not solution.x.any():
             seen["optimum at the origin"] += 1
         seen["dual line of the optimum"] += b"stroke-dasharray" in want
-    for case in ("vacuous row", "(anti)parallel pair", "line off the frame", "no dual points",
+    for case in ("vacuous row", "(anti)parallel pair", "line off the frame",
+                 "axis-parallel line off the frame", "ticks drawn",
+                 "25 or more rows", "no dual points",
                  "solution None", "solution SolutionStatus.UNBOUNDED",
                  "solution SolutionStatus.INFEASIBLE", "optimum at the origin",
                  "dual line of the optimum"):
         assert seen[case] >= 5, (case, seen)
 
 
-def test_bounded_golden_from_both_renderers():
-    lp = load_lp((DATA / "bounded.json").read_bytes())
-    golden = (DATA / "golden" / "bounded.svg").read_bytes()
+def test_every_coordinate_carries_the_reference_bits(monkeypatch):
+    # printed in full instead of to two decimals: a reordered operation moves
+    # a last bit, which .2f shows only in the rare case that it flips a digit
+    monkeypatch.setattr(reference, "_fmt", lambda v: repr(float(v)))
+    full = 0
+    for name, value in list(vars(figure).items()):
+        templates = value if isinstance(value, tuple) else (value,)
+        if all(isinstance(t, str) and "%.2f" in t for t in templates):
+            full += len(templates)
+            templates = tuple(t.replace("%.2f", "%r") for t in templates)
+            monkeypatch.setattr(figure, name, templates if isinstance(value, tuple) else templates[0])
+    assert full >= 30
+    rng = np.random.default_rng(44)
+    for trial in range(300):
+        lp, solution = _figure_case(rng)
+        assert render_svg(lp, solution) == reference.render_svg(lp, solution), trial
+
+
+def _golden_from_both_renderers(name):
+    lp = load_lp((DATA / f"{name}.json").read_bytes())
+    golden = (DATA / "golden" / f"{name}.svg").read_bytes()
     solution = solve(lp)
     assert render_svg(lp, solution) == golden
     assert reference.render_svg(lp, solution) == golden
+
+
+def test_bounded_golden_from_both_renderers():
+    _golden_from_both_renderers("bounded")
+
+
+def test_boxed_golden_from_both_renderers():
+    # 16 rows with ticks, box rows and dual points: the sizes the benchmark draws
+    _golden_from_both_renderers("boxed")

@@ -124,6 +124,24 @@ class TestLoadLP:
         with pytest.raises(ValueError):
             lp.A[0, 0] = 5.0
 
+    def test_only_a_frozen_array_that_owns_its_memory_is_kept_uncopied(self):
+        # the loader hands over such arrays; a frozen view of a writable
+        # array, or a writable array, could still change, so both are copied
+        A = np.array([[1.0, 0.0], [0.0, 1.0]])
+        A.setflags(write=False)
+        base = np.array([1.0, 2.0])
+        view = base[:]
+        view.setflags(write=False)
+        c = np.array([0.0, 1.0])
+        lp = LinearProgram(dimension=2, A=A, b=view, c=c)
+        base[0], c[0] = 5.0, 5.0
+        assert lp.A is A
+        assert lp.b.tolist() == [1.0, 2.0] and lp.c.tolist() == [0.0, 1.0]
+        loaded = load_lp(b'{"dimension": 2, "A": [[1, 0]], "b": [1], "objective": [0, 1],'
+                         b' "sense": "maximize"}')
+        for array in (loaded.A, loaded.b, loaded.c):
+            assert array.base is None and not array.flags.writeable
+
 
 class TestSolutionJSON:
     def test_optimal_fields(self):
