@@ -10,15 +10,16 @@ badly scaled ones and those the simplex fails on; called directly it solves
 any instance up to ``D_MAX`` variables.  It recurses on lists of Python
 floats, since numpy's fixed cost per call outweighed the arithmetic of its
 many small subproblems, and normalizes the rows it is handed once, at
-``_seidel``'s entry.  Its two- to four-variable levels are flat loops over
-the unit rows as columns, with the arithmetic, and so the bits, of the plain
-recursion kept in ``tests/seidel_list_reference.py``; orders are drawn by
-shuffling lists, the same draws as ``rng.permutation`` at a third of the
-cost.  The iterative one, for any dimension, runs a vertex simplex on the
-same epigraph and certifies every minimum it returns, raising where the
-certificate fails.  Its cost too is numpy's fixed cost per call, so it
-scales the pieces by :attr:`PiecewiseMaxProblem.scales`, evaluates them
-once at its final vertex and makes each pivot's choice on Python floats.
+``_seidel``'s entry.  Its two- and three-variable levels are flat loops
+over the unit rows as columns, and four or more variables run on its general
+level; both keep the arithmetic, and so the bits, of the plain recursion in
+``tests/seidel_list_reference.py``.  Orders are drawn by shuffling lists,
+the same draws as ``rng.permutation`` at a third of the cost.  The vertex
+simplex, for any dimension, runs on the same epigraph and certifies every
+minimum it returns, raising where the certificate fails.  Its cost too is
+numpy's fixed cost per call, so it scales the pieces by
+:attr:`PiecewiseMaxProblem.scales`, evaluates them once at its final vertex
+and makes each pivot's choice on Python floats.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class MinMaxResult:
     value: float | None
     active_set: tuple[int, ...] | None
     # exact backend: {"subproblems": {k: subproblems with k variables},
-    # "box_doublings": 0 or 1}, summed over its epigraph solves; iterative
-    # backend: {"pivots": k}
+    # "box_doublings": 0 or 1}, summed over its epigraph solves; vertex
+    # simplex: {"pivots": k}
     stats: dict = field(default_factory=dict)
 
 
@@ -136,9 +137,10 @@ def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gen
     ``cols`` is ``A`` as a list of columns; they, ``b``, ``c``, ``lo``,
     ``hi`` and the returned ``x`` are lists of floats.  This is the one place
     that normalizes the rows it is handed, at every width: a vacuous row is
-    dropped, or gives None when inconsistent.  Two to four variables then go
-    to the flat loops, which take the unit rows as columns.  ``counts[k]`` is
-    raised by one for every subproblem with k variables, this one included.
+    dropped, or gives None when inconsistent.  Two and three variables then
+    go to the flat loops, which take the unit rows as columns; four or more
+    stay on the general level below.  ``counts[k]`` is raised by one for
+    every subproblem with k variables, this one included.
     """
     dim = len(c)
     counts[dim] += 1
@@ -200,86 +202,6 @@ def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gen
         x.insert(k, beta - reduce(add, map(mul, alpha, x), 0))
         x_slack = 1e-12 * (1 + max(map(abs, x)))
     return x
-
-
-def _quad_loop(cols: list, w: list, c: list, lo: list, hi: list, rng: np.random.Generator,
-               tol: float, counts: list):
-    """Minimize c . x over the unit rows (p, q, r, s) . x <= w and the box:
-    :func:`_space_loop` one variable up, its subproblems' columns handed
-    straight to :func:`_space_loop`, with the reference's bits."""
-    p, q, r, s = cols
-    tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]), abs(c[2]), abs(c[3]))
-    x0, x1, x2, x3 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
-                      for cj, l, h in zip(c, lo, hi)]
-    x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2), abs(x3)))
-
-    order = list(range(len(w)))
-    rng.shuffle(order)
-    for position, i in enumerate(order):
-        rhs = w[i]
-        slack = tol * (1 + abs(rhs)) + x_slack
-        if p[i] * x0 + q[i] * x1 + r[i] * x2 + s[i] * x3 <= rhs + slack:
-            continue
-        counts[3] += 1
-        # x_k = beta - a0 x_j0 - a1 x_j1 - a2 x_j2, k the first largest
-        m0, m1, m2, m3 = abs(p[i]), abs(q[i]), abs(r[i]), abs(s[i])
-        if m0 >= m1 and m0 >= m2 and m0 >= m3:
-            k, j0, j1, j2 = 0, 1, 2, 3
-        elif m1 >= m2 and m1 >= m3:
-            k, j0, j1, j2 = 1, 0, 2, 3
-        elif m2 >= m3:
-            k, j0, j1, j2 = 2, 0, 1, 3
-        else:
-            k, j0, j1, j2 = 3, 0, 1, 2
-        col_k, col_0, col_1, col_2 = cols[k], cols[j0], cols[j1], cols[j2]
-        pivot = col_k[i]
-        a0 = col_0[i] / pivot
-        a1 = col_1[i] / pivot
-        a2 = col_2[i] / pivot
-        beta = rhs / pivot
-        ck = c[k]
-        sub_c = [c[j0] - ck * a0, c[j1] - ck * a1, c[j2] - ck * a2]
-
-        # each earlier row becomes a normalized row (u, v, t) . y <= z or is dropped
-        u, v, t, z = [], [], [], []
-        for e in order[:position]:
-            pk = col_k[e]
-            s0 = col_0[e] - pk * a0
-            s1 = col_1[e] - pk * a1
-            s2 = col_2[e] - pk * a2
-            rhs_e = w[e] - pk * beta
-            norm = math.hypot(s0, s1, s2)
-            if norm <= 1e-13:
-                if rhs_e < -tol:
-                    return None
-                continue
-            u.append(s0 / norm)
-            v.append(s1 / norm)
-            t.append(s2 / norm)
-            z.append(rhs_e / norm)
-        # the box on x_k: rows -a . y <= hi_k - beta and a . y <= beta - lo_k
-        upper, lower = hi[k] - beta, beta - lo[k]
-        norm = math.hypot(a0, a1, a2)
-        if norm <= 1e-13:
-            if upper < -tol or lower < -tol:
-                return None
-        else:
-            n0, n1, n2 = a0 / norm, a1 / norm, a2 / norm
-            u += [-n0, n0]
-            v += [-n1, n1]
-            t += [-n2, n2]
-            z += [upper / norm, lower / norm]
-
-        y = _space_loop((u, v, t), z, sub_c, [lo[j0], lo[j1], lo[j2]],
-                        [hi[j0], hi[j1], hi[j2]], rng, tol, counts)
-        if y is None:
-            return None
-        y0, y1, y2 = y
-        # _seidel's sums start at 0, which turns a -0.0 product into 0.0
-        y.insert(k, beta - (0 + a0 * y0 + a1 * y1 + a2 * y2))
-        x0, x1, x2, x3 = y
-        x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2), abs(x3)))
-    return [x0, x1, x2, x3]
 
 
 def _space_loop(cols: list, w: list, c: list, lo: list, hi: list, rng: np.random.Generator,
@@ -440,7 +362,7 @@ def _plane_loop(cols: list, w: list, c: list, lo: list, hi: list, rng: np.random
     return [x0, x1]
 
 
-_FLAT_LOOPS = {2: _plane_loop, 3: _space_loop, 4: _quad_loop}
+_FLAT_LOOPS = {2: _plane_loop, 3: _space_loop}
 
 
 def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Generator,
@@ -502,7 +424,7 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# iterative backend: a certified vertex simplex on the epigraph
+# vertex simplex: certified, on the epigraph
 
 
 def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:

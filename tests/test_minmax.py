@@ -183,7 +183,9 @@ class TestSolveExact:
     def test_stats_count_subproblems_like_the_list_reference(self, monkeypatch):
         """stats counts the subproblems per number of variables, inlined
         ones included, exactly as the list version's calls; equal seeds
-        give equal stats, and the answer is the list version's bit for bit."""
+        give equal stats, and the answer is the list version's bit for bit,
+        at every epigraph width from 2 to 7: the flat loops and the general
+        level."""
         calls = Counter()
         original = seidel_list_reference._seidel
 
@@ -195,9 +197,13 @@ class TestSolveExact:
             return counting(list(zip(*cols)), b, c, lo, hi, rng, tol)
 
         rng = np.random.default_rng(28)
-        for trial in range(40):
-            d = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 4 * d + 4))
+        drawn = set()
+        for trial in range(41):
+            # the last has three variables and 40 pieces, the shape of a
+            # stage that falls back from the vertex simplex to Seidel
+            d = 3 if trial == 40 else int(rng.integers(1, 7))
+            m = 40 if trial == 40 else int(rng.integers(1, 4 * d + 4))
+            drawn.add(d)
             prob = PiecewiseMaxProblem(rng.standard_normal((m, d)), rng.standard_normal(m))
             got = solve_exact(prob, seed=trial)
             assert solve_exact(prob, seed=trial).stats == got.stats
@@ -211,6 +217,7 @@ class TestSolveExact:
             assert got.stats["subproblems"] == {k: calls[k] for k in range(1, d + 2)}
             assert got.x_star.tobytes() == want.x_star.tobytes()
             assert got.status is want.status and got.value == want.value
+        assert drawn == set(range(1, 7))
 
     def test_stats_count_a_box_doubling(self):
         bounded = solve_exact(v_problem(-3.0, -1.0), seed=0)
@@ -340,12 +347,14 @@ def _general_instance(rng):
 
 def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     """_seidel normalizes the rows it is handed once, at its entry, the
-    two-variable loop solves its one-variable subproblems in place, and the
-    four- and three-variable loops normalize the rows of their subproblems
-    in place, with the list version's arithmetic: same verdict, same random
-    draws and the same bits in every answer, on instances that reach each
-    special case of the entry at every width, of the one-variable step and
-    of the four- and three-variable eliminations."""
+    two-variable loop solves its one-variable subproblems in place, the
+    three-variable loop normalizes the rows of its subproblems in place and
+    the general level, at four or more variables, hands its subproblems'
+    rows to the entry, with the list version's arithmetic: same verdict,
+    same random draws and the same bits in every answer, on instances that
+    reach each special case of the entry at every width, of the one-variable
+    step, of the three-variable loop's elimination and of the general
+    level's elimination at four variables."""
     seen = Counter()
     interval = seidel_list_reference._solve_interval
     seidel = seidel_list_reference._seidel
@@ -429,7 +438,9 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     for trial in range(300, 340):
         A, b, c, lo, hi = _epigraph_instance(rng, n=3, rows=(40, 200))
         same_answer((A, b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
-    # four variables and 20-40 rows: phase 1 of a three-dimensional program
+    # four variables and 20-40 rows, the shape of phase 1 of a
+    # three-dimensional program when it falls back from the vertex simplex:
+    # the general level, whose three-variable subproblems go to the entry
     for trial in range(340, 380):
         A, b, c, lo, hi = _epigraph_instance(rng, n=4, rows=(20, 40))
         same_answer((A, b.tolist(), c.tolist(), lo.tolist(), hi.tolist()), trial)
