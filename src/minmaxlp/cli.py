@@ -70,7 +70,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--output", help="write here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--solver", choices=("exact", "subgradient"), default="exact")
         if name != "phase1":
             p.add_argument(
                 "--interior-point",
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
         # that stage dumps the raw program, which no point changes
         parser.error("--interior-point does not apply to --stage phase1")
     try:
-        options = SolveOptions(seed=args.seed, tolerance=args.tolerance, solver=args.solver)
+        options = SolveOptions(seed=args.seed, tolerance=args.tolerance)
     except ReductionError as exc:  # its message starts with the field's name, the flag's too
         print(f"--{exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -26,8 +26,9 @@ class SolverError(LPError):
 
 
 class DimensionCapError(SolverError):
-    """Problem dimension exceeds the exact backend's cap; the message names
-    the remedies: ``solver="subgradient"`` or a strict interior point."""
+    """A stage past the exact backend's cap went to it (by default, only one
+    whose piece scales spread past 1e6 or whose simplex raised); the message
+    names those causes, ``solver="subgradient"`` and a strict interior point."""
 
 
 class ReductionError(LPError):

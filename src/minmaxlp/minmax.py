@@ -376,9 +376,7 @@ def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Gene
     c = [0.0] * d + [1.0]
     z = _seidel(cols, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol, counts)
     if z is None:
-        raise SolverError(
-            "incremental solve hit an inconsistent subsystem; retry with a different seed"
-        )
+        raise SolverError("incremental solve hit an inconsistent subsystem")
     limit = box * (1 - 1e-7)
     return np.array(z[:d]), z[-1], any(abs(v) >= limit for v in z)
 
@@ -403,9 +401,10 @@ def solve_exact(prob: PiecewiseMaxProblem, seed: int = 0,
     """
     if prob.d > D_MAX:
         raise DimensionCapError(
-            f"exact backend is capped at {D_MAX} variables, got {prob.d}; use solver='subgradient' "
-            "(--solver subgradient), which has no cap, or a strict interior point (interior_hint, "
-            "--interior-point), which skips phase 1, the stage with one variable more"
+            f"exact backend is capped at {D_MAX} variables, got {prob.d}; solve routes a wider "
+            "stage here only when its piece scales spread past 1e6 or the vertex simplex raised "
+            "on it; solver='subgradient' runs the simplex on every stage, and a strict interior "
+            "point (interior_hint, --interior-point) skips phase 1, the stage one variable wider"
         )
     rng = np.random.default_rng(seed)
     box = box_half_width(prob)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ReductionError, SolverError
 from .minmax import (
-    D_MAX,
     MinMaxResult,
     MinMaxStatus,
     PiecewiseMaxProblem,
@@ -71,10 +70,10 @@ class PhaseOneResult:
 class SolveOptions:
     """Settings of a solve; a bad value raises ReductionError led by the field's name.
 
-    ``solver="exact"`` routes each min-max stage by its size and scale (see
-    ``_run_minmax``); ``"subgradient"`` runs the vertex simplex on every
-    stage.  ``tolerance`` is Seidel's slack and the threshold below which
-    the intercept |t*| reads as ``unbounded``.  ``seed`` and that slack
+    ``solver="exact"`` routes each min-max stage of any width by its size and
+    scale (see ``_run_minmax``); ``"subgradient"`` runs the vertex simplex on
+    every stage.  ``tolerance`` is Seidel's slack and the threshold below
+    which the intercept |t*| reads as ``unbounded``.  ``seed`` and that slack
     reach only the stages Seidel solves; the vertex simplex takes neither,
     and its answers are deterministic on one numpy build."""
 
@@ -103,14 +102,14 @@ def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResul
     m pieces; past (d+1)! m = 96 the certified vertex simplex runs, with Seidel
     as the fallback when it raises (on the pipeline's stages of 12-30 pieces
     the two tie at d=1; the simplex is faster from m=12 at d=2 and at every m
-    at d >= 3).  Seidel keeps the small instances, those past
-    ``D_MAX`` (it raises the cap error) and those with a piece whose scale
-    max(max|G_i|, |h_i|) is below 1e-6 of the largest: the simplex's
-    tolerances are absolute in units of the largest piece, while Seidel
-    normalizes every row."""
+    at d >= 3), at any width.  Seidel keeps the small instances and those
+    with a piece whose scale max(max|G_i|, |h_i|) is below 1e-6 of the
+    largest, as the simplex's tolerances are absolute in units of the
+    largest piece while Seidel normalizes every row; past ``D_MAX``
+    variables these raise :class:`DimensionCapError`."""
     if options.solver == "subgradient":
         return solve_subgradient(prob)
-    if prob.d <= D_MAX and math.factorial(prob.d + 1) * prob.m > 96:
+    if math.factorial(prob.d + 1) * prob.m > 96:
         scales = prob.scales[1]
         if scales.min() >= 1e-6 * scales.max():
             try:
@@ -280,11 +279,11 @@ def solve(
 ) -> Solution:
     """Solve the LP end to end; the status carries the outcome.  Each
     min-max stage runs Seidel or the vertex simplex as ``_run_minmax``
-    picks.  Raises on configuration problems (dimension cap) and with
-    :class:`SolverError`: a known defect of Seidel ("inconsistent
-    subsystem") on some programs whose rows are rescaled by large factors,
-    and, under ``solver="subgradient"`` only, from the vertex simplex at its
-    pivot cap or when its certificate fails."""
+    picks, at any width.  Raises :class:`SolverError`: the dimension cap on
+    a stage past ``D_MAX`` variables that Seidel must take; a known defect
+    of Seidel ("inconsistent subsystem") on some programs whose rows are
+    rescaled by large factors; and, under ``solver="subgradient"`` only, the
+    vertex simplex at its pivot cap or when its certificate fails."""
     options = options or SolveOptions()
     p0, margins = _interior(lp, interior_hint, options)
     if isinstance(p0, SolutionStatus):

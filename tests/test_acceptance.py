@@ -252,3 +252,28 @@ def test_criterion_9_wide_programs_against_highs():
         assert abs(sol.objective - ref.objective) <= 1e-6 * (1 + abs(ref.objective)), trial
         assert sol.residual <= 1e-7, trial
     assert time.perf_counter() - start < 5.0
+
+
+def test_criterion_10_programs_past_the_cap_against_highs():
+    """42 programs with 11-40 variables, bounded (up to 200 rows), with a
+    planted ray or with an empty slab, through the default solve: each gets
+    HiGHS's status and objective (1e-9 relative), optimal solutions are
+    feasible to 1e-7, and all 42 solves finish within 5 s."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(110)
+    for trial in range(42):
+        d = int(rng.integers(11, 41))
+        if trial % 3 == 0:
+            lp, _ = bounded_lp(rng, d=d, n=2 * d + int(rng.integers(1, 200)),
+                               sense="maximize" if trial % 2 else "minimize")
+        elif trial % 3 == 1:
+            lp = unbounded_lp(rng, d=d, n=d + int(rng.integers(0, 3 * d)))
+        else:
+            lp = infeasible_lp(rng, d=d)
+        sol = solve(lp)
+        ref = highs_solve(lp)
+        assert sol.status is ref.status, trial
+        if ref.status is SolutionStatus.OPTIMAL:
+            assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective)), trial
+            assert sol.residual <= 1e-7, trial
+    assert time.perf_counter() - start < 5.0

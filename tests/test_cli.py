@@ -15,7 +15,7 @@ import minmaxlp
 from minmaxlp import cli, reduction
 from minmaxlp.cli import main
 from minmaxlp.model import LinearProgram, save_lp
-from minmaxlp.reduction import check_interior, prepare
+from minmaxlp.reduction import SolveOptions, check_interior, prepare
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -90,27 +90,46 @@ class TestSolve:
         assert code == 4
         assert payload == b""
 
-    def test_subgradient_solver(self, tmp_path):
-        code, payload = run_cli(
-            tmp_path, "solve", "--input", str(DATA / "bounded.json"),
-            "--solver", "subgradient",
-        )
+    def test_subgradient_solver(self):
+        # no flag selects it, but run solves with whatever options it is given
+        args = types.SimpleNamespace(command="solve", interior_point=None)
+        text = (DATA / "bounded.json").read_bytes()
+        code, payload = cli.run(args, text, SolveOptions(solver="subgradient"))
         assert code == 0
         assert json.loads(payload)["objective"] == pytest.approx(1.0, abs=1e-5)
 
+    def test_solver_flag_is_gone(self, tmp_path, capsys):
+        for command in cli._build_parser()[1].values():
+            assert "--solver" not in command.format_help(), command.prog
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", str(DATA / "bounded.json"), "--solver", "subgradient"])
+        assert exc.value.code == 4
+        assert "unrecognized arguments: --solver subgradient" in capsys.readouterr().err
+
     def test_dimension_cap_names_the_flags_that_help(self, tmp_path, capsys):
-        """Phase 1 of an 11-variable box is past the exact backend's cap: exit 4,
-        and stderr names the two flags that avoid it."""
+        """The 11-variable box solves under the default, as with
+        --interior-point.  With one row scaled by 1e-8, the pieces of its
+        phase 1 span more than 1e6, so that stage must take Seidel, past its
+        cap: exit 4, and stderr names the flag that avoids it."""
         d = 11
-        path = tmp_path / "wide.json"
-        path.write_bytes(save_lp(LinearProgram(
-            dimension=d, A=np.vstack([np.eye(d), -np.eye(d)]), b=np.ones(2 * d), c=np.ones(d))))
+        hint = ["--interior-point", ",".join(["0"] * d)]
+        box = str(DATA / "box11.json")
+        code, payload = run_cli(tmp_path, "solve", "--input", box)
+        assert code == 0
+        assert run_cli(tmp_path, "solve", "--input", box, *hint) == (0, payload)
+        assert json.loads(payload)["objective"] == pytest.approx(11.0, abs=1e-9)
+
+        A, b = np.vstack([np.eye(d), -np.eye(d)]), np.ones(2 * d)
+        A[0] *= 1e-8
+        b[0] *= 1e-8
+        path = tmp_path / "scaled.json"
+        path.write_bytes(save_lp(LinearProgram(dimension=d, A=A, b=b, c=np.ones(d))))
+        (tmp_path / "out").unlink()  # the hinted box's answer
         code, payload = run_cli(tmp_path, "solve", "--input", str(path))
         assert (code, payload) == (4, b"")
         err = capsys.readouterr().err
-        assert "--interior-point" in err and "--solver subgradient" in err
-        for flags in (["--solver", "subgradient"], ["--interior-point", ",".join(["0"] * d)]):
-            assert run_cli(tmp_path, "solve", "--input", str(path), *flags)[0] == 0, flags
+        assert "capped at 10 variables" in err and "--interior-point" in err
+        assert run_cli(tmp_path, "solve", "--input", str(path), *hint)[0] == 0
 
     def test_missing_input_file(self, tmp_path):
         code, payload = run_cli(tmp_path, "solve", "--input", str(tmp_path / "nope.json"))
@@ -379,7 +398,7 @@ def test_python_dash_m_runs_the_cli(module):
 def test_repeated_calls_build_the_parser_once_and_keep_no_state(monkeypatch, capsys):
     # each command must answer in-process exactly as it does alone in a
     # fresh interpreter, whatever ran before it; the defaults that an
-    # earlier command overrode (--stage, --seed, --solver, --interior-point)
+    # earlier command overrode (--stage, --seed, --interior-point)
     # must come back
     bounded, tilted = str(DATA / "bounded.json"), str(DATA / "tilted.json")
     commands = [
@@ -391,7 +410,7 @@ def test_repeated_calls_build_the_parser_once_and_keep_no_state(monkeypatch, cap
         (["solve", "--input", bounded, "--tolerance=0"], 4, None),
         (["reduce", "--input", bounded], 0, "bounded.reduce_support.json"),
         (["solve", "--input", bounded, "--seed=-1"], 4, None),
-        (["solve", "--input", bounded, "--solver", "subgradient", "--seed", "7"], 0, None),
+        (["solve", "--input", bounded, "--seed", "7"], 0, None),
         (["viz", "--input", bounded], 0, "bounded.svg"),
         (["phase1", "--input", bounded, "--interior-point", "9,9"], 4, None),
         (["solve", "--input", tilted], 0, None),
@@ -442,10 +461,10 @@ _DISPATCH = [
             ("viz", ["--interior-point", "0,0"]),
         )
         for flags in (
-            ["--input", _BOUNDED, "--seed", "3", "--tolerance", "1e-8", "--solver", "subgradient",
-             "--output", "o.json", *extra],
-            [f"--input={_BOUNDED}", "--seed=3", "--tolerance=1e-8", "--solver=subgradient",
-             "--output=o.json", *(f"{flag}={value}" for flag, value in zip(extra[::2], extra[1::2]))],
+            ["--input", _BOUNDED, "--seed", "3", "--tolerance", "1e-8", "--output", "o.json",
+             *extra],
+            [f"--input={_BOUNDED}", "--seed=3", "--tolerance=1e-8", "--output=o.json",
+             *(f"{flag}={value}" for flag, value in zip(extra[::2], extra[1::2]))],
         )
     ),
     ["solve", "--inp", _BOUNDED],
@@ -469,7 +488,6 @@ _DISPATCH = [
     ["solve", "--input", _BOUNDED, "-x"],
     ["solve", "--s", "1", "--input", _BOUNDED],
     ["solve", "--input", _BOUNDED, "--seed", "x"],
-    ["solve", "--input", _BOUNDED, "--solver", "simplex"],
     ["solve", "--input", _BOUNDED, "--interior-point", "-1,2"],
     ["solve", "--input", _BOUNDED, "--interior-point=-1,2"],
     ["--"],

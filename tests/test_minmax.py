@@ -352,25 +352,28 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
     the general level, at four or more variables, hands its subproblems'
     rows to the entry, with the list version's arithmetic: same verdict,
     same random draws and the same bits in every answer, on instances that
-    reach each special case of the entry at every width, of the one-variable
-    step, of the three-variable loop's elimination and of the general
-    level's elimination at four variables."""
+    reach each special case of the entry at every width, on the first call
+    and on the general level's subproblems, of the one-variable step, of the
+    three-variable loop's elimination and of the general level's elimination
+    at four variables."""
     seen = Counter()
     interval = seidel_list_reference._solve_interval
     seidel = seidel_list_reference._seidel
     levels = []  # the number of variables of each enclosing call
 
     def recording_seidel(A, b, c, lo, hi, rng, tol):
-        if not levels or levels[-1] > 4:
+        if not levels or levels[-1] >= 4:
             # a call that the exact backend makes to _seidel, which
-            # normalizes its rows and hands them to the loop of its width
+            # normalizes its rows and hands them to the loop of its width:
+            # the first call, or a subproblem of the general level
+            entry = f"entry, {len(c)} variables{', subproblem' if levels else ''}"
             vacuous = [rhs < -tol for row, rhs in zip(A, b) if math.hypot(*row) <= 1e-13]
             if any(vacuous):
-                seen[f"entry, {len(c)} variables: vacuous row inconsistent"] += 1
+                seen[f"{entry}: vacuous row inconsistent"] += 1
             elif len(vacuous) == len(b):
-                seen[f"entry, {len(c)} variables: every row vacuous"] += 1
+                seen[f"{entry}: every row vacuous"] += 1
             elif vacuous:
-                seen[f"entry, {len(c)} variables: vacuous row kept"] += 1
+                seen[f"{entry}: vacuous row kept"] += 1
         width = len(c) + 1
         if width in (3, 4) and levels[-1:] == [width]:
             vacuous = [rhs < -tol for row, rhs in zip(A, b) if math.hypot(*row) <= 1e-13]
@@ -458,7 +461,19 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
             b[0] = -1.0
         c = entry_rng.standard_normal(n).tolist()
         assert same_answer((A, b.tolist(), c, [-2.0] * n, [2.0] * n), trial) == (case != 1)
-    assert min(seen.values()) >= 5 and len(seen) == 26, seen
+    # 4-7 variables, mostly axis rows: the general level eliminates a
+    # coordinate whose box rows, and the earlier axis rows along it, leave
+    # vacuous rows in a subproblem of every width from 3 to 6
+    for trial in range(455, 555):
+        n = 4 + trial % 4
+        m = int(entry_rng.integers(2, 14))
+        A = np.zeros((m, n))
+        A[np.arange(m), entry_rng.integers(n, size=m)] = entry_rng.choice([-1.0, 1.0], m)
+        A[:m // 4] += entry_rng.integers(-1, 2, (m // 4, n))
+        b = entry_rng.uniform(-1.0, 1.0, m)
+        c = entry_rng.standard_normal(n).tolist()
+        same_answer((A, b.tolist(), c, [-2.0] * n, [2.0] * n), trial)
+    assert min(seen.values()) >= 5 and len(seen) == 38, seen
 
 
 def test_seidel_bits_do_not_depend_on_sum(monkeypatch):

@@ -5,6 +5,7 @@ brute-force oracle."""
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from minmaxlp.minmax import (
     solve_exact,
     solve_subgradient,
 )
-from minmaxlp.model import LinearProgram, Sense, SolutionStatus
+from minmaxlp.model import LinearProgram, Sense, SolutionStatus, load_lp, save_solution
 from minmaxlp.reduction import (
     PhaseOneResult,
     PhaseOneStatus,
@@ -38,6 +39,8 @@ from transform_reference import (
     make_origin_strictly_feasible,
     rotate_problem,
 )
+
+DATA = Path(__file__).parent / "data"
 
 ROOF = LinearProgram(
     dimension=2,
@@ -510,6 +513,21 @@ class TestSubgradientBackend:
         sol = solve(lp, options=SolveOptions(solver="subgradient"))
         assert sol.status is SolutionStatus.UNBOUNDED
 
+    @pytest.mark.parametrize("name", ["unbounded", "no_interior"])
+    def test_goldens(self, name):
+        lp = load_lp((DATA / f"{name}.json").read_bytes())
+        sol = solve(lp, options=SolveOptions(solver="subgradient"))
+        assert save_solution(sol) == (DATA / "golden" / f"{name}.solution.json").read_bytes()
+
+    def test_wide_program_routes_every_stage_to_the_simplex(self):
+        # wide.json (d=5, 40 rows) has no golden, since the simplex's last
+        # bits come from BLAS, but both of its stages run the simplex under
+        # either solver value
+        lp = load_lp((DATA / "wide.json").read_bytes())
+        exact, simplex = (save_solution(solve(lp, options=SolveOptions(solver=solver)))
+                          for solver in ("exact", "subgradient"))
+        assert exact == simplex
+
     @pytest.mark.parametrize("lp, x_star", NO_DEEPEST_POINT)
     @pytest.mark.parametrize("solver", ["exact", "subgradient"])
     def test_margin_without_minimum(self, lp, x_star, solver):
@@ -535,7 +553,7 @@ class TestRouting:
     (d+1)!·m > 96 and every piece's scale is within 1e6 of the largest;
     ``stats`` tells the backends apart."""
 
-    @pytest.mark.parametrize("d, m", [(1, 49), (2, 17), (3, 5), (4, 1), (10, 30)])
+    @pytest.mark.parametrize("d, m", [(1, 49), (2, 17), (3, 5), (4, 1), (10, 30), (11, 30)])
     def test_above_the_rule_runs_the_simplex(self, d, m):
         result = reduction._run_minmax(_pieces(d, m), SolveOptions())
         assert set(result.stats) == {"pivots"}
@@ -557,9 +575,18 @@ class TestRouting:
         result = reduction._run_minmax(PiecewiseMaxProblem(G=G, h=h), SolveOptions())
         assert set(result.stats) == keys
 
-    def test_cap_still_raises(self):
+    def test_cap_still_raises(self, monkeypatch):
+        # past D_MAX the cap binds only a stage that must take Seidel: one
+        # whose piece scales spread past 1e6, or one whose simplex raised
+        prob = _pieces(11, 30)
+        G, h = prob.G.copy(), prob.h.copy()
+        G[7] *= 1e-7
+        h[7] *= 1e-7
         with pytest.raises(DimensionCapError):
-            reduction._run_minmax(_pieces(11, 30), SolveOptions())
+            reduction._run_minmax(PiecewiseMaxProblem(G=G, h=h), SolveOptions())
+        monkeypatch.setattr(reduction, "solve_subgradient", _no_simplex)
+        with pytest.raises(DimensionCapError):
+            reduction._run_minmax(prob, SolveOptions())
 
     def test_simplex_failure_falls_back_to_seidel_bit_for_bit(self, monkeypatch):
         prob = _pieces(3, 40)
@@ -587,6 +614,10 @@ class TestRouting:
 
 
 class TestDimensionCap:
+    """The default routes a well-scaled stage of any width to the vertex
+    simplex, so boxes past D_MAX = 10 variables solve with or without a
+    hint; TestRouting checks the stages where the cap still binds."""
+
     @staticmethod
     def _box(d):
         return LinearProgram(
@@ -596,17 +627,21 @@ class TestDimensionCap:
             c=np.ones(d),
         )
 
-    def test_cap_hits_interior_search_first(self):
-        with pytest.raises(DimensionCapError):
-            solve(self._box(11))
+    def test_interior_search_past_the_cap(self):
+        # phase 1 runs in all 11 variables
+        sol = solve(self._box(11))
+        assert sol.status is SolutionStatus.OPTIMAL
+        assert sol.objective == pytest.approx(11.0, abs=1e-7)
 
     def test_hint_skips_interior_search(self):
         # with the search skipped, the support stage runs in d - 1 = 10
-        # variables, exactly at the cap
+        # variables
         sol = solve(self._box(11), interior_hint=np.zeros(11))
         assert sol.status is SolutionStatus.OPTIMAL
         assert sol.objective == pytest.approx(11.0, abs=1e-7)
 
-    def test_cap_applies_to_support_stage_too(self):
-        with pytest.raises(DimensionCapError):
-            solve(self._box(12), interior_hint=np.zeros(12))
+    def test_support_stage_past_the_cap(self):
+        # the support stage runs in d - 1 = 11 variables
+        sol = solve(self._box(12), interior_hint=np.zeros(12))
+        assert sol.status is SolutionStatus.OPTIMAL
+        assert sol.objective == pytest.approx(12.0, abs=1e-7)
