@@ -1,25 +1,23 @@
 """Minimize the pointwise maximum of affine pieces: min over x of
 max_i (G_i . x + h_i).
 
-Two backends.  The exact one solves the epigraph LP (minimize t subject to
-G_i . x + h_i <= t) by randomized incremental insertion inside a symmetric
-bounding box, recursing on one fewer variable each time a constraint is
-violated.  Its work grows like (d+1)! m for d variables and m pieces, so
-``reduction._run_minmax`` gives it the instances with (d+1)! m <= 96, the
-badly scaled ones and those the simplex fails on; called directly it solves
-any instance up to ``D_MAX`` variables.  It recurses on lists of Python
-floats, since numpy's fixed cost per call outweighed the arithmetic of its
-many small subproblems, and normalizes the rows it is handed once, at
-``_seidel``'s entry.  Its two- and three-variable levels are flat loops
-over the unit rows as columns, and four or more variables run on its general
-level; both keep the arithmetic, and so the bits, of the plain recursion in
-``tests/seidel_list_reference.py``.  Orders are drawn by shuffling lists,
-the same draws as ``rng.permutation`` at a third of the cost.  The vertex
-simplex, for any dimension, runs on the same epigraph and certifies every
-minimum it returns, raising where the certificate fails.  Its cost too is
-numpy's fixed cost per call, so it scales the pieces by
+Two backends.  The vertex simplex, for any dimension, runs on the epigraph
+LP (minimize t subject to G_i . x + h_i <= t) and certifies every minimum
+it returns, raising where the certificate fails; ``reduction._run_minmax``
+gives it every stage whose piece scales are within 1e6 of each other.  Its
+cost is numpy's fixed cost per call, so it scales the pieces by
 :attr:`PiecewiseMaxProblem.scales`, evaluates them once at its final vertex
-and makes each pivot's choice on Python floats.
+and makes each pivot's choice on Python floats.  The exact backend solves
+the same epigraph by randomized incremental insertion inside a symmetric
+bounding box, recursing on one fewer variable each time a constraint is
+violated; it takes the stages whose scales spread further and those the
+simplex fails on, and called directly it solves any instance up to
+``D_MAX`` variables.  It recurses on lists of Python floats, since numpy's
+fixed cost per call outweighed the arithmetic of its many small
+subproblems, with one general level above a one-variable base case; both
+keep the arithmetic, and so the bits, of the plain recursion in
+``tests/seidel_list_reference.py``.  Orders are drawn by shuffling lists,
+the same draws as ``rng.permutation`` at a third of the cost.
 """
 
 from __future__ import annotations
@@ -135,15 +133,35 @@ def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gen
     satisfies it, and eliminated coordinates re-enter as two ordinary rows.
 
     ``cols`` is ``A`` as a list of columns; they, ``b``, ``c``, ``lo``,
-    ``hi`` and the returned ``x`` are lists of floats.  This is the one place
-    that normalizes the rows it is handed, at every width: a vacuous row is
-    dropped, or gives None when inconsistent.  Two and three variables then
-    go to the flat loops, which take the unit rows as columns; four or more
-    stay on the general level below.  ``counts[k]`` is raised by one for
-    every subproblem with k variables, this one included.
+    ``hi`` and the returned ``x`` are lists of floats.  One variable is the
+    base case: the half-lines a x <= rhs are intersected as given, since the
+    bound rhs / a of a row is already that of its unit row.  At every other
+    width this is the one place that normalizes the rows it is handed: a
+    vacuous row is dropped, or gives None when inconsistent.  Each operation
+    is the one the plain recursion of ``tests/seidel_list_reference.py``
+    does, in the same order, so every decision and every bit of the answer
+    are the reference's.  ``counts[k]`` is raised by one for every
+    subproblem with k variables, this one included.
     """
     dim = len(c)
     counts[dim] += 1
+    if dim == 1:
+        lo, hi = lo[0], hi[0]
+        for a, rhs in zip(cols[0], b):
+            if abs(a) <= 1e-13:
+                if rhs < -tol:
+                    return None  # 0 . x <= negative: inconsistent
+            elif a > 0:
+                hi = min(hi, rhs / a)
+            else:
+                lo = max(lo, rhs / a)
+        if lo > hi + tol * (1 + abs(lo) + abs(hi)):
+            return None
+        if lo > hi:
+            lo = hi = 0.5 * (lo + hi)
+        if abs(c[0]) <= TIE_TOL:
+            return [min(max(0.0, lo), hi)]
+        return [lo if c[0] > 0 else hi]
     # normalize rows so pivots and violation thresholds are scale-free
     norms = list(map(math.hypot, *cols))
     if min(norms) <= 1e-13:
@@ -155,8 +173,6 @@ def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gen
         b, norms = list(compress(b, kept)), list(compress(norms, kept))
     cols = [list(map(truediv, col, norms)) for col in cols]
     w = list(map(truediv, b, norms))
-    if dim in _FLAT_LOOPS:
-        return _FLAT_LOOPS[dim](cols, w, c, lo, hi, rng, tol, counts)
     rows = list(zip(*cols))
 
     tie = TIE_TOL * max(1.0, max(map(abs, c)))
@@ -202,167 +218,6 @@ def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gen
         x.insert(k, beta - reduce(add, map(mul, alpha, x), 0))
         x_slack = 1e-12 * (1 + max(map(abs, x)))
     return x
-
-
-def _space_loop(cols: list, w: list, c: list, lo: list, hi: list, rng: np.random.Generator,
-                tol: float, counts: list):
-    """Minimize c . x over the unit rows (p, q, r) . x <= w and the box.  On
-    a violation one pass eliminates the pivot and normalizes each earlier
-    row, and the two box rows of the eliminated coordinate, as its
-    two-variable subproblem would, then hands those columns straight to
-    :func:`_plane_loop`.  Each operation is the one the plain recursion of
-    ``tests/seidel_list_reference.py`` does, in the same order, so every
-    decision and every bit of the answer are the reference's."""
-    p, q, r = cols
-    tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]), abs(c[2]))
-    x0, x1, x2 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
-                  for cj, l, h in zip(c, lo, hi)]
-    x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2)))
-
-    order = list(range(len(w)))
-    rng.shuffle(order)
-    for position, i in enumerate(order):
-        rhs = w[i]
-        slack = tol * (1 + abs(rhs)) + x_slack
-        # summed left to right; a 0 start would only change the sign of a
-        # zero, which no comparison sees
-        if p[i] * x0 + q[i] * x1 + r[i] * x2 <= rhs + slack:
-            continue
-        counts[2] += 1
-        # x_k = beta - a0 x_j0 - a1 x_j1, k the first largest coordinate
-        m0, m1, m2 = abs(p[i]), abs(q[i]), abs(r[i])
-        if m0 >= m1 and m0 >= m2:
-            k, j0, j1 = 0, 1, 2
-        elif m1 >= m2:
-            k, j0, j1 = 1, 0, 2
-        else:
-            k, j0, j1 = 2, 0, 1
-        col_k, col_0, col_1 = cols[k], cols[j0], cols[j1]
-        pivot = col_k[i]
-        a0 = col_0[i] / pivot
-        a1 = col_1[i] / pivot
-        beta = rhs / pivot
-        ck = c[k]
-        sub_c = [c[j0] - ck * a0, c[j1] - ck * a1]
-
-        # each earlier row becomes a normalized row (u, v) . y <= z of the
-        # two-variable subproblem, or is dropped as vacuous
-        u, v, z = [], [], []
-        for e in order[:position]:
-            pk = col_k[e]
-            s0 = col_0[e] - pk * a0
-            s1 = col_1[e] - pk * a1
-            rhs_e = w[e] - pk * beta
-            norm = math.hypot(s0, s1)
-            if norm <= 1e-13:
-                if rhs_e < -tol:
-                    return None
-                continue
-            u.append(s0 / norm)
-            v.append(s1 / norm)
-            z.append(rhs_e / norm)
-        # the box on x_k: rows (-a0, -a1) . y <= hi_k - beta and
-        # (a0, a1) . y <= beta - lo_k
-        upper, lower = hi[k] - beta, beta - lo[k]
-        norm = math.hypot(a0, a1)
-        if norm <= 1e-13:
-            if upper < -tol or lower < -tol:
-                return None
-        else:
-            n0, n1 = a0 / norm, a1 / norm
-            u += [-n0, n0]
-            v += [-n1, n1]
-            z += [upper / norm, lower / norm]
-
-        y = _plane_loop((u, v), z, sub_c, [lo[j0], lo[j1]], [hi[j0], hi[j1]], rng, tol, counts)
-        if y is None:
-            return None
-        y0, y1 = y
-        # _seidel's sums start at 0, which turns a -0.0 product into 0.0
-        y.insert(k, beta - (0 + a0 * y0 + a1 * y1))
-        x0, x1, x2 = y
-        x_slack = 1e-12 * (1 + max(abs(x0), abs(x1), abs(x2)))
-    return [x0, x1, x2]
-
-
-def _plane_loop(cols: list, w: list, c: list, lo: list, hi: list, rng: np.random.Generator,
-                tol: float, counts: list):
-    """Minimize c . x over the unit rows (u, v) . x <= w and the box,
-    its one-variable subproblems solved in place: on a violation one loop
-    eliminates the pivot and intersects the half-lines, building no rows.
-    Each operation is the one the plain recursion of
-    ``tests/seidel_list_reference.py`` does (its elimination, then its
-    interval solve), in the same order, so every decision and every bit of
-    the answer are the reference's.  Appends the box to ``u``, ``v`` and ``w``.
-    """
-    u, v = cols
-    # the box as four rows x_0 <= hi_0, -x_0 <= -lo_0, x_1 <= hi_1,
-    # -x_1 <= -lo_1, which the elimination turns into exactly the two box
-    # rows of _seidel
-    n = len(w)
-    u += [1.0, -1.0, 0.0, 0.0]
-    v += [0.0, 0.0, 1.0, -1.0]
-    w += [hi[0], -lo[0], hi[1], -lo[1]]
-
-    tie = TIE_TOL * max(1.0, abs(c[0]), abs(c[1]))
-    x0, x1 = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
-              for cj, l, h in zip(c, lo, hi)]
-    x_slack = 1e-12 * (1 + max(abs(x0), abs(x1)))
-
-    order = list(range(n))
-    rng.shuffle(order)
-    for position, i in enumerate(order):
-        rhs = w[i]
-        slack = tol * (1 + abs(rhs)) + x_slack
-        # no 0 start here: it only changes the sign of a zero, which no
-        # comparison sees
-        if u[i] * x0 + v[i] * x1 <= rhs + slack:
-            continue
-        counts[1] += 1
-        # x_k = beta - a x_j, k the first largest coordinate of the row
-        if abs(u[i]) >= abs(v[i]):
-            k, col_k, col_j = 0, u, v
-        else:
-            k, col_k, col_j = 1, v, u
-        pivot = col_k[i]
-        a = col_j[i] / pivot
-        beta = rhs / pivot
-        c_j = c[1 - k] - c[k] * a
-        lo_j, hi_j = lo[1 - k], hi[1 - k]
-        # each earlier row, then the box on x_k, becomes s x_j <= r
-        for p in order[:position] + [n + 2 * k, n + 2 * k + 1]:
-            pk = col_k[p]
-            s = col_j[p] - pk * a
-            r = w[p] - pk * beta
-            if abs(s) <= 1e-13:
-                if r < -tol:
-                    return None
-            elif s > 0:
-                r /= s
-                if r < hi_j:  # min(hi_j, r), ties keeping hi_j
-                    hi_j = r
-            else:
-                r /= s
-                if r > lo_j:
-                    lo_j = r
-        if lo_j > hi_j + tol * (1 + abs(lo_j) + abs(hi_j)):
-            return None
-        if lo_j > hi_j:
-            lo_j = hi_j = 0.5 * (lo_j + hi_j)
-        if abs(c_j) <= TIE_TOL:
-            x_j = min(max(0.0, lo_j), hi_j)
-        elif c_j > 0:
-            x_j = lo_j
-        else:
-            x_j = hi_j
-        # _seidel's sums start at 0, which turns a -0.0 product into 0.0
-        x_k = beta - (0 + a * x_j)
-        x0, x1 = (x_k, x_j) if k == 0 else (x_j, x_k)
-        x_slack = 1e-12 * (1 + max(abs(x0), abs(x1)))
-    return [x0, x1]
-
-
-_FLAT_LOOPS = {2: _plane_loop, 3: _space_loop}
 
 
 def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Generator,
@@ -432,13 +287,13 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
 
     The first basis, the rows x_j = 0 and the piece highest at the origin,
     is its own inverse [[I, 0], [G_top, -1]]; the rows x_j = 0 leave first,
-    then the row of the most negative multiplier.  Row i blocks an edge u
-    when its rate along u is above 1e-11 (max|G_i| max|u_x| + |u_t|), the
-    rounding that rate can carry.  A row x_j = 0 whose edge is unblocked
-    with a multiplier of at most 1e-12 (a line along which every piece is
-    constant) stays in the basis until the next pivot.  Any other unblocked
-    edge lowers t without end: UNBOUNDED_BELOW, with the vertex moved along
-    that edge until t has fallen by 1 + |t| as witness.
+    then the row of the most negative multiplier.  A row x_j = 0 leaves only
+    when its multiplier is above 1e-12 in absolute value, so a coordinate
+    along which t cannot fall stays at 0, also on a degenerate optimal face.
+    Row i blocks an edge u when its rate along u is above 1e-11
+    (max|G_i| max|u_x| + |u_t|), the rounding that rate can carry.  An
+    unblocked edge lowers t without end: UNBOUNDED_BELOW, with the vertex
+    moved along that edge until t has fallen by 1 + |t| as witness.
     A minimum is returned when the multipliers y of the basis pieces are
     >= 0, sum to 1, and give max|y G_B| <= 1e-9 and
     max(G x + h) - y . h_B <= 1e-9 max(1, |value|) in scaled units; that max
@@ -455,11 +310,10 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
     inv[d, :d], inv[d, d] = G[top], -1.0
     basis = list(range(m, m + d)) + [top]
     slack = h[top] - h  # t - (G x + h) at the vertex
-    flat = set()  # pseudo-rows whose edge is unblocked and level, until the next pivot
     pivots = 0
     while pivots < 4 * (m + d + 1):
         y = (-inv[d]).tolist()  # the multipliers
-        free = [k for k in range(d + 1) if basis[k] >= m and k not in flat]
+        free = [k for k in range(d + 1) if basis[k] >= m and abs(y[k]) > 1e-12]
         k = max(free, key=lambda k: abs(y[k])) if free else y.index(min(y))
         if not free and y[k] >= -1e-12:
             break
@@ -471,9 +325,6 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
         noise = 1e-11 * (reach * max(map(abs, edge[:d])) + abs(edge[d]))
         blocking = (rate > noise).nonzero()[0]
         if not blocking.size:
-            if free and abs(y[k]) <= 1e-12:
-                flat.add(k)
-                continue
             vertex = inv @ rhs[basis]
             x = vertex[:d] + (1.0 + abs(vertex[d])) / -edge[d] * u[:d]
             return _result(prob, x, MinMaxStatus.UNBOUNDED_BELOW, stats={"pivots": pivots})
@@ -488,11 +339,11 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
         inv -= np.multiply.outer(col, row)
         inv[:, k] = col
         basis[k] = r
-        flat.clear()
         pivots += 1
     else:
         raise SolverError(f"vertex simplex passed {pivots} pivots without an optimum")
-    # the multipliers of the pieces; a flat pseudo-row's is zero and left out
+    # the multipliers of the pieces; a pseudo-row left in the basis has
+    # multiplier zero and is left out
     pieces = [k for k in range(d + 1) if basis[k] < m]
     rows = [basis[k] for k in pieces]
     y = np.maximum(-inv[d, pieces], 0.0)

@@ -11,7 +11,6 @@ slope; its optimum dualizes straight back to the LP optimum.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -70,12 +69,14 @@ class PhaseOneResult:
 class SolveOptions:
     """Settings of a solve; a bad value raises ReductionError led by the field's name.
 
-    ``solver="exact"`` routes each min-max stage of any width by its size and
-    scale (see ``_run_minmax``); ``"subgradient"`` runs the vertex simplex on
-    every stage.  ``tolerance`` is Seidel's slack and the threshold below
-    which the intercept |t*| reads as ``unbounded``.  ``seed`` and that slack
-    reach only the stages Seidel solves; the vertex simplex takes neither,
-    and its answers are deterministic on one numpy build."""
+    ``solver="exact"`` routes each min-max stage of any size and width by
+    the spread of its piece scales (see ``_run_minmax``); ``"subgradient"``
+    runs the vertex simplex on every stage.  ``tolerance`` is Seidel's slack
+    and the threshold below which the intercept |t*| reads as
+    ``unbounded``.  ``seed`` and that slack reach only the stages Seidel
+    solves, none on a program whose piece scales are within 1e6 of each
+    other; the vertex simplex takes neither, and its answers are
+    deterministic on one numpy build."""
 
     seed: int = 0
     tolerance: float = 1e-9
@@ -98,24 +99,20 @@ def _run_minmax(prob: PiecewiseMaxProblem, options: SolveOptions) -> MinMaxResul
     """The one place that picks the algorithm for a min-max stage.
 
     ``solver="subgradient"`` always runs the vertex simplex.  Under
-    ``"exact"``, Seidel's recursion costs about (d+1)! m for d variables and
-    m pieces; past (d+1)! m = 96 the certified vertex simplex runs, with Seidel
-    as the fallback when it raises (on the pipeline's stages of 12-30 pieces
-    the two tie at d=1; the simplex is faster from m=12 at d=2 and at every m
-    at d >= 3), at any width.  Seidel keeps the small instances and those
-    with a piece whose scale max(max|G_i|, |h_i|) is below 1e-6 of the
-    largest, as the simplex's tolerances are absolute in units of the
-    largest piece while Seidel normalizes every row; past ``D_MAX``
-    variables these raise :class:`DimensionCapError`."""
+    ``"exact"``, a stage of any size and width runs the certified vertex
+    simplex when every piece's scale max(max|G_i|, |h_i|) is within 1e6 of
+    the largest.  Seidel takes the stages whose scales spread further, as
+    the simplex's tolerances are absolute in units of the largest piece
+    while Seidel normalizes every row, and the stages where the simplex
+    raises; past ``D_MAX`` variables these raise :class:`DimensionCapError`."""
     if options.solver == "subgradient":
         return solve_subgradient(prob)
-    if math.factorial(prob.d + 1) * prob.m > 96:
-        scales = prob.scales[1]
-        if scales.min() >= 1e-6 * scales.max():
-            try:
-                return solve_subgradient(prob)
-            except SolverError:
-                pass
+    scales = prob.scales[1]
+    if scales.min() >= 1e-6 * scales.max():
+        try:
+            return solve_subgradient(prob)
+        except SolverError:
+            pass
     return solve_exact(prob, seed=options.seed, tolerance=options.tolerance)
 
 
@@ -278,10 +275,11 @@ def solve(
     options: SolveOptions | None = None,
 ) -> Solution:
     """Solve the LP end to end; the status carries the outcome.  Each
-    min-max stage runs Seidel or the vertex simplex as ``_run_minmax``
-    picks, at any width.  Raises :class:`SolverError`: the dimension cap on
-    a stage past ``D_MAX`` variables that Seidel must take; a known defect
-    of Seidel ("inconsistent subsystem") on some programs whose rows are
+    min-max stage runs the vertex simplex, or Seidel where its piece scales
+    spread past 1e6 or the simplex raises, as ``_run_minmax`` picks, at any
+    size and width.  Raises :class:`SolverError`: the dimension cap on a
+    stage past ``D_MAX`` variables that Seidel must take; a known defect of
+    Seidel ("inconsistent subsystem") on some programs whose rows are
     rescaled by large factors; and, under ``solver="subgradient"`` only, the
     vertex simplex at its pivot cap or when its certificate fails."""
     options = options or SolveOptions()

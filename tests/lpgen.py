@@ -61,9 +61,16 @@ def unbounded_lp(rng, d=None, n=None):
     return LinearProgram(dimension=d, A=A, b=b, c=c)
 
 
-def flat_lp(rng, d=None):
+def _loose_rows(rng, d, x0, k):
+    """k rows in [-1, 1] loose by 0.2-1.5 around x0, as ``interior_lp``'s."""
+    A = rng.uniform(-1.0, 1.0, (k, d))
+    return A, A @ x0 + rng.uniform(0.2, 1.5, k)
+
+
+def flat_lp(rng, d=None, n=None):
     """Feasible but with empty interior: two opposing rows force an exact
-    equality, and a loose box keeps everything else slack."""
+    equality, and a loose box keeps everything else slack.  Given ``n``,
+    n - 2 - 2d loose rows around the planted point come last."""
     d = int(rng.integers(2, 5)) if d is None else d
     a = rng.normal(size=d)
     a /= np.linalg.norm(a)
@@ -72,11 +79,15 @@ def flat_lp(rng, d=None):
     A = np.vstack([a, -a, np.eye(d), -np.eye(d)])
     b = np.concatenate([[beta, -beta], x0 + 2.0, -(x0 - 2.0)])
     c = rng.uniform(-1.0, 1.0, d)
+    if n is not None:
+        loose_A, loose_b = _loose_rows(rng, d, x0, n - 2 - 2 * d)
+        A, b = np.vstack([A, loose_A]), np.concatenate([b, loose_b])
     return LinearProgram(dimension=d, A=A, b=b, c=c)
 
 
-def infeasible_lp(rng, d=None):
-    """Empty feasible set: a slab of strictly negative width."""
+def infeasible_lp(rng, d=None, n=None):
+    """Empty feasible set: a slab of strictly negative width.  Given ``n``,
+    n - 2 - 2d loose rows around a point on the slab's first row come last."""
     d = int(rng.integers(2, 5)) if d is None else d
     a = rng.normal(size=d)
     a /= np.linalg.norm(a)
@@ -86,4 +97,7 @@ def infeasible_lp(rng, d=None):
     A = np.vstack([a, -a, np.eye(d), -np.eye(d)])
     b = np.concatenate([[beta, -beta - gap], x0 + 2.0, -(x0 - 2.0)])
     c = rng.uniform(-1.0, 1.0, d)
+    if n is not None:
+        loose_A, loose_b = _loose_rows(rng, d, x0, n - 2 - 2 * d)
+        A, b = np.vstack([A, loose_A]), np.concatenate([b, loose_b])
     return LinearProgram(dimension=d, A=A, b=b, c=c)

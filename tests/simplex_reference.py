@@ -4,8 +4,10 @@ final vertex, with its pivot bookkeeping on numpy arrays.
 
 ``minmaxlp.minmax.solve_subgradient`` must take exactly the decisions of
 this copy and return the same bits: status, ``x_star``, ``value``,
-``active_set`` and ``stats``.  It is kept unchanged for
-``tests/test_minmax.py`` to compare against.  The library's result
+``active_set`` and ``stats``.  Its pivot rules, the one that lets a row
+x_j = 0 leave only with a multiplier above 1e-12 included, are the
+library's; its bookkeeping is kept unchanged for ``tests/test_minmax.py``
+to compare against.  The library's result
 builder, ``_result``, is written out below, so this copy imports no private
 name of the package.
 """
@@ -35,11 +37,10 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
     inv[d, :d], inv[d, d] = G[top], -1.0
     basis = list(range(m, m + d)) + [top]
     slack = h[top] - h  # t - (G x + h) at the vertex
-    flat = set()  # pseudo-rows whose edge is unblocked and level, until the next pivot
     pivots = 0
     while pivots < 4 * (m + d + 1):
         y = -inv[d]  # the multipliers
-        free = [k for k in range(d + 1) if basis[k] >= m and k not in flat]
+        free = [k for k in range(d + 1) if basis[k] >= m and abs(y[k]) > 1e-12]
         k = max(free, key=lambda k: abs(y[k])) if free else int(y.argmin())
         if not free and y[k] >= -1e-12:
             break
@@ -50,9 +51,6 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
         noise = 1e-11 * (reach * float(np.abs(u[:d]).max()) + abs(u[d]))
         blocking = np.flatnonzero(rate > noise)
         if not blocking.size:
-            if free and abs(y[k]) <= 1e-12:
-                flat.add(k)
-                continue
             vertex = inv @ rhs[basis]
             x = vertex[:d] + (1.0 + abs(vertex[d])) / -u[d] * u[:d]
             return _result(prob, x, MinMaxStatus.UNBOUNDED_BELOW, stats={"pivots": pivots})
@@ -67,11 +65,11 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
         inv -= np.outer(col, row)
         inv[:, k] = col
         basis[k] = r
-        flat.clear()
         pivots += 1
     else:
         raise SolverError(f"vertex simplex passed {pivots} pivots without an optimum")
-    # the multipliers of the pieces; a flat pseudo-row's is zero and left out
+    # the multipliers of the pieces; a pseudo-row left in the basis has
+    # multiplier zero and is left out
     pieces = [k for k in range(d + 1) if basis[k] < m]
     rows = [basis[k] for k in pieces]
     y = np.maximum(-inv[d, pieces], 0.0)

@@ -277,3 +277,25 @@ def test_criterion_10_programs_past_the_cap_against_highs():
             assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective)), trial
             assert sol.residual <= 1e-7, trial
     assert time.perf_counter() - start < 5.0
+
+
+def test_criterion_11_phase1_without_minimum_against_highs():
+    """Eight strictly feasible programs with 2-6 variables, each drawn as
+    ``interior_lp(rng, d=int(rng.integers(2, 7)))`` from
+    ``default_rng(s)`` for a listed s, under seeds 0-5: all 48 solves are
+    optimal with HiGHS's objective (1e-9 relative) and feasible to 1e-7.
+    Their phase 1 has no minimum; while Seidel took their small stages,
+    some seeds gave objectives off by 2 % to 81 %."""
+    start = time.perf_counter()
+    for s in (184, 391, 688, 1249, 1447, 2179, 2857, 2989):
+        rng = np.random.default_rng(s)
+        lp, _ = interior_lp(rng, d=int(rng.integers(2, 7)))
+        ref = highs_solve(lp)
+        assert ref.status is SolutionStatus.OPTIMAL
+        for seed in range(6):
+            sol = solve(lp, options=SolveOptions(seed=seed))
+            assert sol.status is SolutionStatus.OPTIMAL, (s, seed)
+            assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective)), (
+                s, seed)
+            assert sol.residual <= 1e-7, (s, seed)
+    assert time.perf_counter() - start < 5.0

@@ -23,7 +23,10 @@ SRC = Path(minmaxlp.__file__).parents[1]
 
 
 def run_cli(tmp_path, *args):
+    """Run the CLI with ``--output`` a fresh file: the exit code and the
+    file's bytes, or b"" when the command wrote none."""
     out = tmp_path / "out"
+    out.unlink(missing_ok=True)  # an earlier command's output
     code = main([*args, "--output", str(out)])
     return code, out.read_bytes() if out.exists() else b""
 
@@ -124,7 +127,6 @@ class TestSolve:
         b[0] *= 1e-8
         path = tmp_path / "scaled.json"
         path.write_bytes(save_lp(LinearProgram(dimension=d, A=A, b=b, c=np.ones(d))))
-        (tmp_path / "out").unlink()  # the hinted box's answer
         code, payload = run_cli(tmp_path, "solve", "--input", str(path))
         assert (code, payload) == (4, b"")
         err = capsys.readouterr().err
@@ -311,15 +313,15 @@ class TestViz:
         assert code == 0
         assert payload == (GOLDEN / "bounded.svg").read_bytes()
 
-    def test_boxed_matches_golden_with_both_stages_on_seidel(self, tmp_path, monkeypatch):
-        # 16 rows: phase 1 (3! * 16 = 96 pieces' worth) and the support
-        # stage stay on Seidel, which computes on Python floats; four box
-        # rows are axis-parallel, one of them active at the optimum, and
-        # every offset is positive, so the dual points are drawn
-        def simplex(prob):
-            raise AssertionError(f"the vertex simplex ran on {prob.m} pieces")
+    def test_boxed_matches_golden_with_both_stages_on_the_simplex(self, tmp_path, monkeypatch):
+        # 16 rows: phase 1 and the support stage both run the vertex
+        # simplex, never Seidel; four box rows are axis-parallel, one of
+        # them active at the optimum, and every offset is positive, so the
+        # dual points are drawn
+        def seidel(prob, **options):
+            raise AssertionError(f"Seidel ran on {prob.m} pieces")
 
-        monkeypatch.setattr(reduction, "solve_subgradient", simplex)
+        monkeypatch.setattr(reduction, "solve_exact", seidel)
         code, payload = run_cli(tmp_path, "viz", "--input", str(DATA / "boxed.json"))
         assert code == 0
         assert payload == (GOLDEN / "boxed.svg").read_bytes()

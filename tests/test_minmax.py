@@ -184,8 +184,8 @@ class TestSolveExact:
         """stats counts the subproblems per number of variables, inlined
         ones included, exactly as the list version's calls; equal seeds
         give equal stats, and the answer is the list version's bit for bit,
-        at every epigraph width from 2 to 7: the flat loops and the general
-        level."""
+        at every epigraph width from 2 to 7: the general level and its
+        one-variable base case."""
         calls = Counter()
         original = seidel_list_reference._seidel
 
@@ -346,16 +346,14 @@ def _general_instance(rng):
 
 
 def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
-    """_seidel normalizes the rows it is handed once, at its entry, the
-    two-variable loop solves its one-variable subproblems in place, the
-    three-variable loop normalizes the rows of its subproblems in place and
-    the general level, at four or more variables, hands its subproblems'
-    rows to the entry, with the list version's arithmetic: same verdict,
-    same random draws and the same bits in every answer, on instances that
-    reach each special case of the entry at every width, on the first call
-    and on the general level's subproblems, of the one-variable step, of the
-    three-variable loop's elimination and of the general level's elimination
-    at four variables."""
+    """_seidel solves one variable by the list version's half-line
+    intersection and normalizes the rows it is handed at every other width,
+    then runs its general level, with the list version's arithmetic: same
+    verdict, same random draws and the same bits in every answer, on
+    instances that reach each special case of the normalization at every
+    width, on the first call and on subproblems of four or more variables,
+    of the one-variable step, and of the eliminations at two, three and four
+    variables, whose subproblems once ran on separate loops."""
     seen = Counter()
     interval = seidel_list_reference._solve_interval
     seidel = seidel_list_reference._seidel
@@ -363,9 +361,8 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
 
     def recording_seidel(A, b, c, lo, hi, rng, tol):
         if not levels or levels[-1] >= 4:
-            # a call that the exact backend makes to _seidel, which
-            # normalizes its rows and hands them to the loop of its width:
-            # the first call, or a subproblem of the general level
+            # a call whose rows _seidel normalizes: the first call, or a
+            # subproblem of four or more variables
             entry = f"entry, {len(c)} variables{', subproblem' if levels else ''}"
             vacuous = [rhs < -tol for row, rhs in zip(A, b) if math.hypot(*row) <= 1e-13]
             if any(vacuous):

@@ -122,9 +122,11 @@ class TestPhase1:
             assert PhaseOneResult(p0, margin).status is PhaseOneStatus.NO_STRICT_INTERIOR
 
     @pytest.mark.parametrize("lp, x_star", NO_DEEPEST_POINT)
-    def test_exact_witness_is_the_backend_minimizer(self, lp, x_star):
-        # the witness sits on the exact backend's doubled box, so it is
-        # returned bit for bit, never pulled back
+    def test_exact_witness_is_the_backend_minimizer(self, lp, x_star, monkeypatch):
+        # with the simplex switched off, phase 1 falls back to the exact
+        # backend, whose witness sits on its doubled box: it is returned bit
+        # for bit, never pulled back
+        monkeypatch.setattr(reduction, "solve_subgradient", _no_simplex)
         res = phase1(lp)
         want = solve_exact(PiecewiseMaxProblem(G=lp.A, h=-lp.b))
         assert want.status is MinMaxStatus.UNBOUNDED_BELOW
@@ -549,21 +551,43 @@ def _no_simplex(prob):
 
 
 class TestRouting:
-    """Under solver="exact", _run_minmax runs the vertex simplex once
-    (d+1)!·m > 96 and every piece's scale is within 1e6 of the largest;
+    """Under solver="exact", _run_minmax runs the vertex simplex on every
+    stage whose piece scales are all within 1e6 of the largest, at any size;
     ``stats`` tells the backends apart."""
 
-    @pytest.mark.parametrize("d, m", [(1, 49), (2, 17), (3, 5), (4, 1), (10, 30), (11, 30)])
-    def test_above_the_rule_runs_the_simplex(self, d, m):
-        result = reduction._run_minmax(_pieces(d, m), SolveOptions())
+    @pytest.mark.parametrize("d, m", [(1, 49), (2, 17), (3, 5), (4, 1), (10, 30), (11, 30),
+                                      (1, 48), (2, 16), (3, 4), (1, 1)])
+    def test_well_scaled_stages_run_the_simplex(self, d, m):
+        result = reduction._run_minmax(_pieces(d, m), SolveOptions(seed=2))
         assert set(result.stats) == {"pivots"}
 
-    @pytest.mark.parametrize("d, m", [(1, 48), (2, 16), (3, 4), (1, 1)])
-    def test_at_or_below_the_rule_runs_seidel(self, d, m):
-        prob = _pieces(d, m)
-        result = reduction._run_minmax(prob, SolveOptions(seed=2))
-        assert set(result.stats) == {"subproblems", "box_doublings"}
-        assert result.x_star.tobytes() == solve_exact(prob, seed=2).x_star.tobytes()
+    def test_pipeline_stages_never_reach_seidel(self, monkeypatch):
+        # 2-D and 3-D programs of 12-30 rows of every class, in both senses:
+        # phase 1 and the support stage, hinted or not, all run the simplex
+        def seidel(prob, **options):
+            raise AssertionError(f"Seidel ran on {prob.m} pieces in {prob.d} variables")
+
+        monkeypatch.setattr(reduction, "solve_exact", seidel)
+        rng = np.random.default_rng(47)
+        statuses = Counter()
+        for trial in range(96):
+            d, n = 2 + trial % 2, int(rng.integers(12, 31))
+            sense = "maximize" if trial // 2 % 2 else "minimize"
+            kind = trial // 4 % 4
+            hint = None
+            if kind == 0:
+                lp, hint = bounded_lp(rng, d=d, n=n, sense=sense)
+            elif kind == 1:
+                lp = unbounded_lp(rng, d=d, n=n)
+            else:
+                lp = (flat_lp if kind == 2 else infeasible_lp)(rng, d=d, n=n)
+            if kind and sense == "minimize":
+                lp = replace(lp, c=-lp.c, sense=Sense.MINIMIZE)
+            statuses[solve(lp).status] += 1
+            if hint is not None:
+                assert solve(lp, interior_hint=hint).status is SolutionStatus.OPTIMAL
+        assert statuses == {SolutionStatus.OPTIMAL: 24, SolutionStatus.UNBOUNDED: 24,
+                            SolutionStatus.INFEASIBLE: 48}
 
     @pytest.mark.parametrize("factor, keys", [(1e-7, {"subproblems", "box_doublings"}),
                                               (1e-4, {"pivots"})])
