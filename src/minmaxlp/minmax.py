@@ -122,7 +122,7 @@ def _result(prob: PiecewiseMaxProblem, x: np.ndarray,
 # exact backend: randomized incremental LP on the epigraph
 
 
-def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
+def _seidel(rows: list, b: list, c: list, lo: list, hi: list, rng: np.random.Generator,
             tol: float, counts: list):
     """Minimize c . x over {A x <= b, lo <= x <= hi}, or None when the
     half-spaces are (numerically) inconsistent.
@@ -132,22 +132,22 @@ def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gen
     dimension down.  The box is kept implicit: the running point always
     satisfies it, and eliminated coordinates re-enter as two ordinary rows.
 
-    ``cols`` is ``A`` as a list of columns; they, ``b``, ``c``, ``lo``,
-    ``hi`` and the returned ``x`` are lists of floats.  One variable is the
-    base case: the half-lines a x <= rhs are intersected as given, since the
-    bound rhs / a of a row is already that of its unit row.  At every other
-    width this is the one place that normalizes the rows it is handed: a
-    vacuous row is dropped, or gives None when inconsistent.  Each operation
-    is the one the plain recursion of ``tests/seidel_list_reference.py``
-    does, in the same order, so every decision and every bit of the answer
-    are the reference's.  ``counts[k]`` is raised by one for every
-    subproblem with k variables, this one included.
+    ``rows`` (``A`` by rows), ``b``, ``c``, ``lo``, ``hi`` and the returned
+    ``x`` are lists of floats.  One variable is the base case: the
+    half-lines a x <= rhs are intersected as given, since the bound rhs / a
+    of a row is already that of its unit row.  At every other width this is
+    the one place that normalizes the rows it is handed: a vacuous row is
+    dropped, or gives None when inconsistent.  Each operation is the one the
+    plain recursion of ``tests/seidel_list_reference.py`` does, in the same
+    order, so every decision and every bit of the answer are the
+    reference's.  ``counts[k]`` is raised by one for every subproblem with k
+    variables, this one included.
     """
     dim = len(c)
     counts[dim] += 1
     if dim == 1:
         lo, hi = lo[0], hi[0]
-        for a, rhs in zip(cols[0], b):
+        for (a,), rhs in zip(rows, b):
             if abs(a) <= 1e-13:
                 if rhs < -tol:
                     return None  # 0 . x <= negative: inconsistent
@@ -163,17 +163,15 @@ def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gen
             return [min(max(0.0, lo), hi)]
         return [lo if c[0] > 0 else hi]
     # normalize rows so pivots and violation thresholds are scale-free
-    norms = list(map(math.hypot, *cols))
+    norms = [math.hypot(*row) for row in rows]
     if min(norms) <= 1e-13:
         kept = [norm > 1e-13 for norm in norms]
         if any(rhs < -tol for keep, rhs in zip(kept, b) if not keep):
             return None  # 0 . x <= negative: inconsistent
         # drop the vacuous rows
-        cols = [list(compress(col, kept)) for col in cols]
-        b, norms = list(compress(b, kept)), list(compress(norms, kept))
-    cols = [list(map(truediv, col, norms)) for col in cols]
+        rows, b, norms = (list(compress(v, kept)) for v in (rows, b, norms))
+    rows = [[v / norm for v in row] for row, norm in zip(rows, norms)]
     w = list(map(truediv, b, norms))
-    rows = list(zip(*cols))
 
     tie = TIE_TOL * max(1.0, max(map(abs, c)))
     x = [min(max(0.0, l), h) if abs(cj) <= tie else (l if cj > 0 else h)
@@ -211,8 +209,8 @@ def _seidel(cols: list, b: list, c: list, lo: list, hi: list, rng: np.random.Gen
         sub_A += [[-a for a in alpha], alpha]
         sub_b += [hi[k] - beta, beta - lo[k]]
 
-        x = _seidel(list(zip(*sub_A)), sub_b, sub_c, lo[:k] + lo[k + 1:], hi[:k] + hi[k + 1:],
-                    rng, tol, counts)
+        x = _seidel(sub_A, sub_b, sub_c, lo[:k] + lo[k + 1:], hi[:k] + hi[k + 1:], rng, tol,
+                    counts)
         if x is None:
             return None
         x.insert(k, beta - reduce(add, map(mul, alpha, x), 0))
@@ -227,9 +225,9 @@ def _epigraph_minimum(prob: PiecewiseMaxProblem, box: float, rng: np.random.Gene
     Returns (x, t, box_active); ``counts`` is :func:`_seidel`'s.
     """
     m, d = prob.G.shape
-    cols = prob.G.T.tolist() + [[-1.0] * m]
+    rows = np.hstack((prob.G, np.full((m, 1), -1.0))).tolist()
     c = [0.0] * d + [1.0]
-    z = _seidel(cols, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol, counts)
+    z = _seidel(rows, (-prob.h).tolist(), c, [-box] * (d + 1), [box] * (d + 1), rng, tol, counts)
     if z is None:
         raise SolverError("incremental solve hit an inconsistent subsystem")
     limit = box * (1 - 1e-7)
@@ -287,13 +285,16 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
 
     The first basis, the rows x_j = 0 and the piece highest at the origin,
     is its own inverse [[I, 0], [G_top, -1]]; the rows x_j = 0 leave first,
-    then the row of the most negative multiplier.  A row x_j = 0 leaves only
-    when its multiplier is above 1e-12 in absolute value, so a coordinate
-    along which t cannot fall stays at 0, also on a degenerate optimal face.
-    Row i blocks an edge u when its rate along u is above 1e-11
-    (max|G_i| max|u_x| + |u_t|), the rounding that rate can carry.  An
-    unblocked edge lowers t without end: UNBOUNDED_BELOW, with the vertex
-    moved along that edge until t has fallen by 1 + |t| as witness.
+    then the row of the most negative multiplier.  Row i blocks an edge u
+    when its rate along u is above 1e-11 (max|G_i| max|u_x| + |u_t|), the
+    rounding that rate can carry.  Along the edge that leaves row k, t falls
+    by |y_k| per step.  A row x_j = 0 whose multiplier is at most 1e-12 in
+    absolute value leaves only when its edge is blocked and the step to the
+    block lowers t by more than 1e-9 max(1, |t|), so a coordinate along
+    which t cannot fall by more than that stays at 0, also on a degenerate
+    optimal face.  Any other unblocked edge lowers t without end:
+    UNBOUNDED_BELOW, with the vertex moved along that edge until t has
+    fallen by 1 + |t| as witness.
     A minimum is returned when the multipliers y of the basis pieces are
     >= 0, sum to 1, and give max|y G_B| <= 1e-9 and
     max(G x + h) - y . h_B <= 1e-9 max(1, |value|) in scaled units; that max
@@ -315,21 +316,31 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
         y = (-inv[d]).tolist()  # the multipliers
         free = [k for k in range(d + 1) if basis[k] >= m and abs(y[k]) > 1e-12]
         k = max(free, key=lambda k: abs(y[k])) if free else y.index(min(y))
-        if not free and y[k] >= -1e-12:
+        if free or y[k] < -1e-12:
+            candidates = [k]
+        else:
+            # optimal but for the pseudo-rows whose multipliers are at most 1e-12
+            candidates = [k for k in range(d + 1) if basis[k] >= m and y[k]]
+        for k in candidates:
+            # the edge that leaves row k, along which t falls by |y_k| per step
+            u = inv[:, k] if y[k] > 0 else -inv[:, k]
+            edge = u.tolist()
+            rate = G @ u[:d] - edge[d]
+            rate[[i for i in basis if i < m and i != basis[k]]] = 0.0  # rows that stay tight
+            noise = 1e-11 * (reach * max(map(abs, edge[:d])) + abs(edge[d]))
+            blocking = (rate > noise).nonzero()[0]
+            if blocking.size:
+                ratios = np.maximum(slack[blocking], 0.0) / rate[blocking]
+                j = int(ratios.argmin())
+                if (abs(y[k]) > 1e-12 or abs(y[k]) * ratios[j]
+                        > 1e-9 * max(1.0, abs(float(inv[d] @ rhs[basis])))):
+                    break
+            elif abs(y[k]) > 1e-12:
+                vertex = inv @ rhs[basis]
+                x = vertex[:d] + (1.0 + abs(vertex[d])) / -edge[d] * u[:d]
+                return _result(prob, x, MinMaxStatus.UNBOUNDED_BELOW, stats={"pivots": pivots})
+        else:
             break
-        # the edge that leaves row k, along which t falls
-        u = inv[:, k] if free and y[k] > 0 else -inv[:, k]
-        edge = u.tolist()
-        rate = G @ u[:d] - edge[d]
-        rate[[i for i in basis if i < m and i != basis[k]]] = 0.0  # rows that stay tight
-        noise = 1e-11 * (reach * max(map(abs, edge[:d])) + abs(edge[d]))
-        blocking = (rate > noise).nonzero()[0]
-        if not blocking.size:
-            vertex = inv @ rhs[basis]
-            x = vertex[:d] + (1.0 + abs(vertex[d])) / -edge[d] * u[:d]
-            return _result(prob, x, MinMaxStatus.UNBOUNDED_BELOW, stats={"pivots": pivots})
-        ratios = np.maximum(slack[blocking], 0.0) / rate[blocking]
-        j = int(ratios.argmin())
         r = int(blocking[j])
         slack -= ratios[j] * rate
         slack[r] = 0.0

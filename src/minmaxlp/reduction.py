@@ -74,9 +74,9 @@ class SolveOptions:
     runs the vertex simplex on every stage.  ``tolerance`` is Seidel's slack
     and the threshold below which the intercept |t*| reads as
     ``unbounded``.  ``seed`` and that slack reach only the stages Seidel
-    solves, none on a program whose piece scales are within 1e6 of each
-    other; the vertex simplex takes neither, and its answers are
-    deterministic on one numpy build."""
+    solves: those whose own piece scales spread past 1e6, and those whose
+    simplex raised.  A stage the vertex simplex answers takes neither, and
+    its answer is deterministic on one numpy build."""
 
     seed: int = 0
     tolerance: float = 1e-9

@@ -5,9 +5,10 @@ final vertex, with its pivot bookkeeping on numpy arrays.
 ``minmaxlp.minmax.solve_subgradient`` must take exactly the decisions of
 this copy and return the same bits: status, ``x_star``, ``value``,
 ``active_set`` and ``stats``.  Its pivot rules, the one that lets a row
-x_j = 0 leave only with a multiplier above 1e-12 included, are the
-library's; its bookkeeping is kept unchanged for ``tests/test_minmax.py``
-to compare against.  The library's result
+x_j = 0 with a multiplier of at most 1e-12 leave only when that lowers t
+by more than the certificate's tolerance included, are the library's; its
+bookkeeping is kept unchanged for ``tests/test_minmax.py`` to compare
+against.  The library's result
 builder, ``_result``, is written out below, so this copy imports no private
 name of the package.
 """
@@ -42,20 +43,32 @@ def solve_subgradient(prob: PiecewiseMaxProblem) -> MinMaxResult:
         y = -inv[d]  # the multipliers
         free = [k for k in range(d + 1) if basis[k] >= m and abs(y[k]) > 1e-12]
         k = max(free, key=lambda k: abs(y[k])) if free else int(y.argmin())
-        if not free and y[k] >= -1e-12:
+        if free or y[k] < -1e-12:
+            candidates = [k]
+        else:
+            # optimal but for the pseudo-rows whose multipliers are at most 1e-12
+            candidates = [k for k in range(d + 1) if basis[k] >= m and y[k] != 0.0]
+        for k in candidates:
+            # the edge that leaves row k, along which t falls by |y_k| per step
+            u = inv[:, k] if y[k] > 0 else -inv[:, k]
+            rate = G @ u[:d] - u[d]
+            rate[[i for i in basis if i < m and i != basis[k]]] = 0.0  # rows that stay tight
+            noise = 1e-11 * (reach * float(np.abs(u[:d]).max()) + abs(u[d]))
+            blocking = np.flatnonzero(rate > noise)
+            if blocking.size:
+                ratios = np.maximum(slack[blocking], 0.0) / rate[blocking]
+                j = int(ratios.argmin())
+                t = (inv @ rhs[basis])[d]
+                # a pseudo-row of multiplier at most 1e-12 leaves only when the
+                # step to its block lowers t by more than the certificate allows
+                if abs(y[k]) > 1e-12 or abs(y[k]) * ratios[j] > 1e-9 * max(1.0, abs(t)):
+                    break
+            elif abs(y[k]) > 1e-12:
+                vertex = inv @ rhs[basis]
+                x = vertex[:d] + (1.0 + abs(vertex[d])) / -u[d] * u[:d]
+                return _result(prob, x, MinMaxStatus.UNBOUNDED_BELOW, stats={"pivots": pivots})
+        else:
             break
-        # the edge that leaves row k, along which t falls
-        u = inv[:, k] if free and y[k] > 0 else -inv[:, k]
-        rate = G @ u[:d] - u[d]
-        rate[[i for i in basis if i < m and i != basis[k]]] = 0.0  # rows that stay tight
-        noise = 1e-11 * (reach * float(np.abs(u[:d]).max()) + abs(u[d]))
-        blocking = np.flatnonzero(rate > noise)
-        if not blocking.size:
-            vertex = inv @ rhs[basis]
-            x = vertex[:d] + (1.0 + abs(vertex[d])) / -u[d] * u[:d]
-            return _result(prob, x, MinMaxStatus.UNBOUNDED_BELOW, stats={"pivots": pivots})
-        ratios = np.maximum(slack[blocking], 0.0) / rate[blocking]
-        j = int(ratios.argmin())
         r = int(blocking[j])
         slack -= ratios[j] * rate
         slack[r] = 0.0

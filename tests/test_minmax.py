@@ -181,9 +181,8 @@ class TestSolveExact:
                 assert shuffled.value == pytest.approx(base.value, abs=1e-9 * (1 + abs(base.value)))
 
     def test_stats_count_subproblems_like_the_list_reference(self, monkeypatch):
-        """stats counts the subproblems per number of variables, inlined
-        ones included, exactly as the list version's calls; equal seeds
-        give equal stats, and the answer is the list version's bit for bit,
+        """stats counts the subproblems per number of variables exactly as
+        the list version's calls; equal seeds give equal stats, and the answer is the list version's bit for bit,
         at every epigraph width from 2 to 7: the general level and its
         one-variable base case."""
         calls = Counter()
@@ -192,9 +191,6 @@ class TestSolveExact:
         def counting(A, b, c, lo, hi, rng, tol):
             calls[len(c)] += 1
             return original(A, b, c, lo, hi, rng, tol)
-
-        def counting_columns(cols, b, c, lo, hi, rng, tol, counts):
-            return counting(list(zip(*cols)), b, c, lo, hi, rng, tol)
 
         rng = np.random.default_rng(28)
         drawn = set()
@@ -212,7 +208,7 @@ class TestSolveExact:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(seidel_list_reference, "_seidel", counting)
-                patch.setattr(minmax, "_seidel", counting_columns)
+                patch.setattr(minmax, "_seidel", lambda *args: counting(*args[:-1]))
                 want = solve_exact(prob, seed=trial)
             assert got.stats["subproblems"] == {k: calls[k] for k in range(1, d + 2)}
             assert got.x_star.tobytes() == want.x_star.tobytes()
@@ -294,7 +290,7 @@ def test_seidel_matches_numpy_reference():
             continue  # the epigraph of a function of no variables
         rng_want, rng_got = np.random.default_rng(trial), np.random.default_rng(trial)
         want = seidel_reference._seidel(A, b, c, lo, hi, rng_want, 1e-9)
-        got = _seidel(A.T.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist(), rng_got,
+        got = _seidel(A.tolist(), b.tolist(), c.tolist(), lo.tolist(), hi.tolist(), rng_got,
                       1e-9, [0] * (c.size + 1))
         diverged += rng_got.bit_generator.state != rng_want.bit_generator.state
         assert (got is None) == (want is None), trial
@@ -361,8 +357,10 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
 
     def recording_seidel(A, b, c, lo, hi, rng, tol):
         if not levels or levels[-1] >= 4:
-            # a call whose rows _seidel normalizes: the first call, or a
-            # subproblem of four or more variables
+            # _seidel normalizes the rows of every call of two or more
+            # variables; the entry's cases are counted here for the first
+            # call and the subproblems of a level of four or more variables,
+            # and below by level for those of three and four
             entry = f"entry, {len(c)} variables{', subproblem' if levels else ''}"
             vacuous = [rhs < -tol for row, rhs in zip(A, b) if math.hypot(*row) <= 1e-13]
             if any(vacuous):
@@ -406,7 +404,7 @@ def test_seidel_matches_list_reference_bit_for_bit(monkeypatch):
         A, *rest = args
         rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
         want = seidel_list_reference._seidel(A.tolist(), *rest, rng_want, 1e-9)
-        got = _seidel(A.T.tolist(), *rest, rng_got, 1e-9, [0] * (len(rest[1]) + 1))
+        got = _seidel(A.tolist(), *rest, rng_got, 1e-9, [0] * (len(rest[1]) + 1))
         assert rng_got.bit_generator.state == rng_want.bit_generator.state, seed
         assert (got is None) == (want is None), seed
         if want is not None:
@@ -492,7 +490,7 @@ def test_seidel_bits_do_not_depend_on_sum(monkeypatch):
         got = []
         for trial, (A, b, c, lo, hi) in enumerate(instances):
             args = (b.tolist(), c.tolist(), lo.tolist(), hi.tolist())
-            for solve in (lambda *a: _seidel(A.T.tolist(), *a, [0] * (c.size + 1)),
+            for solve in (lambda *a: _seidel(A.tolist(), *a, [0] * (c.size + 1)),
                           lambda *a: seidel_list_reference._seidel(A.tolist(), *a)):
                 rng_solve = np.random.default_rng(trial)
                 x = solve(*args, rng_solve, 1e-9)
@@ -688,6 +686,31 @@ def test_subgradient_matches_highs():
             assert abs(got.value - want) <= 1e-9 * max(1.0, abs(want)), trial
         verdicts[got.status] += 1
     assert min(verdicts.values()) >= 10 and len(verdicts) == 2, verdicts
+
+
+@pytest.mark.parametrize("solve", [
+    solve_subgradient,
+    simplex_reference.solve_subgradient,
+    lambda prob: reduction._run_minmax(prob, reduction.SolveOptions()),
+], ids=["library", "reference", "routed"])
+@pytest.mark.parametrize("G, h, factors", [
+    ([[1.0], [-1.0]], [0.5, -1.0], [1e-13]),
+    ([[1.0], [-1.0]] + [[0.0]] * 47, [0.5, -1.0] + [-10.0] * 47, [1e-13]),
+    ([[2.0], [-1.0], [-3.0]], [0.3, -0.2, -1.0], [5e-13]),
+    ([[1.0, 0.5], [-1.0, 0.0], [0.0, -1.0], [2.0, 1.0]], [0.5, -1.0, -0.25, 0.0], [1e-13, 1.0]),
+], ids=["two-pieces", "49-pieces", "three-pieces", "2-D"])
+def test_tiny_columns_match_highs(solve, G, h, factors):
+    """A column of G below 1e-12 of the largest entry gives its row x_j = 0
+    a multiplier of at most 1e-12, yet the step to its block can lower t by
+    a quarter, with x_j near 1e13.  Scaling a column of G does not change
+    the minimum, so HiGHS on the unscaled columns gives it; every piece
+    scale is within 1e6 of the largest, so the routed stage is the simplex's."""
+    G, h = np.array(G), np.array(h)
+    prob = PiecewiseMaxProblem(G * factors, h)
+    want = _highs_minimum(PiecewiseMaxProblem(G, h))
+    got = solve(prob)
+    assert got.status is MinMaxStatus.MINIMIZED
+    assert abs(got.value - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_subgradient_needs_no_lapack(monkeypatch):
